@@ -34,7 +34,6 @@ from repro.analysis.equivalence import (
     UNKNOWN,
     EquivalenceOracle,
     EquivalenceResult,
-    check_equivalence,
 )
 from repro.analysis.schema_lint import lint_schema
 from repro.analysis.sql_semantics import analyze_query, analyze_sql
@@ -120,7 +119,6 @@ __all__ = [
     "Severity",
     "UNKNOWN",
     "analyze_query",
-    "check_equivalence",
     "analyze_sql",
     "audit_corpus",
     "explain_dead_template",

@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 from repro.analysis.diagnostics import Diagnostic, FixHint, LintReport, make
 from repro.errors import ReproError
 from repro.sql.ast import Query
-from repro.sql.canonical import canonical_text
-from repro.sql.normalize import canonical_sql
-from repro.sql.printer import to_sql
+from repro.sql.canonical import canonical_sql, canonical_text
+from repro.sql.equivalence import _results_match
 
 #: The three verdicts.  ``EQUIVALENT`` requires a canonical-form proof.
 EQUIVALENT = "EQUIVALENT"
@@ -57,7 +56,11 @@ VERDICTS = (EQUIVALENT, DISTINCT, UNKNOWN)
 
 @dataclass(frozen=True)
 class ProbeOutcome:
-    """One differential probe: a (schema, seed) database comparison."""
+    """One differential probe: a (schema, seed) database comparison.
+
+    ``seed`` is the probe database's seed, or its position in the
+    caller's ``databases=`` list when the caller supplied the databases.
+    """
 
     seed: int
     executed: bool
@@ -149,6 +152,8 @@ class EquivalenceOracle:
         self.seeds = tuple(seeds)
         self.rows_per_table = rows_per_table
         self._databases = list(databases) if databases is not None else None
+        # Caller-supplied databases were never built from ``seeds``.
+        self._seeded = databases is None
 
     # -- probe arms ----------------------------------------------------
 
@@ -214,7 +219,8 @@ class EquivalenceOracle:
         order_sensitive = bool(left.order_by) and bool(right.order_by)
         agreed_probes = 0
         for index, database in enumerate(self._probe_databases()):
-            seed = self.seeds[index] if index < len(self.seeds) else index
+            seed = self.seeds[index] if self._seeded else index
+            probe = f"seed={seed}" if self._seeded else f"#{seed}"
             bound = []
             blocked: Diagnostic | None = None
             for side, query in (("left", left), ("right", right)):
@@ -243,7 +249,7 @@ class EquivalenceOracle:
                     [
                         make(
                             "L604",
-                            f"probe seed={seed} skipped: {failure}",
+                            f"probe {probe} skipped: {failure}",
                             location=location,
                             hint="the query is outside the executable subset "
                             "on this probe database",
@@ -271,7 +277,7 @@ class EquivalenceOracle:
                 [
                     make(
                         "L602",
-                        f"results diverge on probe database seed={seed}",
+                        f"results diverge on probe database {probe}",
                         location=location,
                         span=right.span,
                         hint="the queries are not equivalent; inspect the "
@@ -327,30 +333,6 @@ class EquivalenceOracle:
         return execute_planned(query, database)
 
 
-def check_equivalence(
-    left: Query,
-    right: Query,
-    schema,
-    databases=None,
-    seeds: tuple[int, ...] = (0, 17),
-    rows_per_table: int = 25,
-) -> EquivalenceResult:
-    """One-shot :class:`EquivalenceOracle` convenience wrapper."""
-    oracle = EquivalenceOracle(
-        schema, databases=databases, seeds=seeds, rows_per_table=rows_per_table
-    )
-    return oracle.check(left, right)
-
-
-def _results_match(left_rows, right_rows, order_sensitive: bool) -> bool:
-    """Result-value comparison (column labels excluded on purpose)."""
-    left_values = [tuple(row.values()) for row in left_rows]
-    right_values = [tuple(row.values()) for row in right_rows]
-    if order_sensitive:
-        return left_values == right_values
-    return sorted(left_values, key=repr) == sorted(right_values, key=repr)
-
-
 __all__ = [
     "EQUIVALENT",
     "DISTINCT",
@@ -359,5 +341,4 @@ __all__ = [
     "EquivalenceOracle",
     "EquivalenceResult",
     "ProbeOutcome",
-    "check_equivalence",
 ]

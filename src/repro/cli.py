@@ -1012,7 +1012,7 @@ def cmd_canonical(args) -> int:
     """
     import json as json_module
 
-    from repro.analysis.equivalence import DISTINCT, EQUIVALENT, check_equivalence
+    from repro.analysis.equivalence import DISTINCT, EQUIVALENT, EquivalenceOracle
     from repro.errors import SqlError
     from repro.runtime.postprocess import PostProcessor
     from repro.sql.canonical import canonical_key, canonical_text
@@ -1052,13 +1052,10 @@ def cmd_canonical(args) -> int:
         return EXIT_OK
 
     seeds = tuple(int(s) for s in str(args.seeds).split(",") if s != "")
-    result = check_equivalence(
-        query,
-        other,
-        schema,
-        seeds=seeds,
-        rows_per_table=args.rows_per_table,
+    oracle = EquivalenceOracle(
+        schema, seeds=seeds, rows_per_table=args.rows_per_table
     )
+    result = oracle.check(query, other)
     if args.json:
         print(json_module.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:

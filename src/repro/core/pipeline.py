@@ -106,7 +106,6 @@ class TrainingPipeline:
         pos_aware_dropout: bool = False,
         workers: int = 0,
         lint: bool = True,
-        semantic_dedupe: bool = False,
     ) -> None:
         if isinstance(schemas, Schema):
             schemas = [schemas]
@@ -119,7 +118,6 @@ class TrainingPipeline:
         self._pos_aware_dropout = pos_aware_dropout
         self._workers = workers
         self._lint = lint
-        self._semantic_dedupe = semantic_dedupe
 
     # ------------------------------------------------------------------
     # Pre-generation lint gate
@@ -191,30 +189,7 @@ class TrainingPipeline:
         """
         self._lint_gate()
         effective = self._workers if workers is None else workers
-        batches = self._engine().iter_batches(workers=effective, recorder=recorder)
-        if not self._semantic_dedupe:
-            return batches
-        return self._semantic_filter(batches)
-
-    def _semantic_filter(
-        self, batches: Iterator[list[TrainingPair]]
-    ) -> Iterator[list[TrainingPair]]:
-        """Drop canonically-duplicate pairs across the whole stream.
-
-        An opt-in second dedupe pass (``semantic_dedupe=True``) keyed
-        on canonical SQL forms (:mod:`repro.sql.canonical`): pairs
-        whose NL matches and whose SQL differs only by a
-        result-invariant rewrite are synthesis redundancy, not signal.
-        Keys are strictly coarser than the exact keys the engine
-        already deduped on, so this only ever removes pairs — with the
-        flag off (the default) the corpus is bit-identical to PR 9.
-        """
-        from repro.core.templates import dedupe_pairs
-
-        schemas = {schema.name: schema for schema in self.schemas}
-        seen: set = set()
-        for batch in batches:
-            yield dedupe_pairs(batch, seen, semantic=True, schemas=schemas)
+        return self._engine().iter_batches(workers=effective, recorder=recorder)
 
     def generate(
         self, workers: int | None = None, recorder=None

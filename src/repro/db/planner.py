@@ -82,7 +82,7 @@ from repro.sql.ast import (
     Query,
     conjuncts,
 )
-from repro.sql.normalize import canonical_sql
+from repro.sql.canonical import canonical_sql
 from repro.sql.printer import predicate_to_sql
 
 

@@ -15,9 +15,8 @@ Two notions from the paper:
 from __future__ import annotations
 
 from repro.sql.ast import Query
-from repro.sql.canonical import canonical_text
+from repro.sql.canonical import canonical_sql, canonical_text
 from repro.sql.equivalence import EquivalenceChecker
-from repro.sql.normalize import canonical_sql
 from repro.sql.parser import try_parse
 
 

@@ -62,13 +62,6 @@ class ServingConfig:
         deterministic over a fixed database; it removes the
         anonymization cost for repeated identical questions, which
         dominate real traffic.
-    canonical_cache:
-        Whether the translation cache runs its canonical coalescing
-        tier (PR 10): model outputs are indexed by canonical SQL key so
-        paraphrases that compile to one query share storage and are
-        counted (``cache.canonical_hits``).  Served payloads are
-        bit-identical either way; the flag only controls the index and
-        its counters.
 
     Repair (see :mod:`repro.serving.repair`)
     ----------------------------------------
@@ -99,7 +92,6 @@ class ServingConfig:
     cache_ttl: float = 300.0
     serve_stale_on_degrade: bool = True
     preprocess_cache_capacity: int = 4096
-    canonical_cache: bool = True
     repair_attempts: int = 2
     repair_deadline: float = 0.25
     repair_execute_timeout: float = 0.1

@@ -216,9 +216,7 @@ class TranslationService:
                 cfg.cache_capacity,
                 cfg.cache_ttl,
                 clock=clock,
-                canonical_key_fn=(
-                    self._canonical_key_fn if cfg.canonical_cache else None
-                ),
+                canonical_key_fn=self._canonical_key_fn,
             )
             if cfg.cache_capacity > 0
             else None

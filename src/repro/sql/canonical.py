@@ -1,51 +1,68 @@
-"""Canonical forms for SQL ASTs — one static pass, four consumers.
+"""Canonical forms for SQL ASTs — one rewrite, two strengths.
 
-:func:`repro.sql.normalize.normalize` makes *syntactic* noise
-(commutative order, comparison direction, double negation) disappear;
-this module goes further and rewrites queries into a **canonical form**
-in which a larger class of result-equivalent spellings collapse to one
-AST.  The canonical form backs the serving cache's coalescing index,
-semantic corpus dedupe, the ``semantic_match`` eval column, and the
-repair loop's oscillation guard — so its soundness contract is strict:
+A single bottom-up walk (:func:`_rewrite`) makes spelling noise
+disappear.  Each node's children are finished before the node itself
+is flattened, sorted or merged, so the walk never revisits a node.
+
+**Syntactic rules** (always on; :func:`normalize` /
+:func:`canonical_sql`, the unit of exact match, the planner's
+result-cache key and pattern signatures):
+
+1. ``a OP b`` with the column on the right is flipped (``18 < age``
+   becomes ``age > 18``); column-to-column comparisons order their
+   columns by printed form.
+2. ``NOT`` over a comparison folds into the negated operator; ``NOT
+   (NOT p)`` cancels; ``NOT IN``/``NOT LIKE``/``NOT EXISTS`` fold into
+   the predicate's ``negated`` flag.
+3. AND/OR operand lists are flattened, sorted by printed form and
+   deduplicated.
+4. ``IN`` value lists are sorted; ``x IN (v)`` becomes ``x = v``.
+5. Integral floats are integers (``18.0`` is ``18``).
+6. Table qualifiers on column refs are dropped when the query reads
+   from a single concrete table (they are redundant there).
+7. SELECT items and GROUP BY keys keep their order (projection order is
+   part of the answer), but duplicate SELECT items are collapsed.
+   ``LIMIT``/``ORDER BY`` are preserved verbatim.
+
+**Semantic rules** (:func:`canonicalize` / :func:`canonical_text` /
+:func:`canonical_key`) go further: a larger class of result-equivalent
+spellings collapses to one AST.  The canonical form backs the serving
+cache's coalescing index, semantic corpus dedupe, the
+``semantic_match`` eval column, the repair loop's oscillation guard and
+the equivalence oracle's proofs — so its soundness contract is strict:
 
     every rewrite must be **result-invariant** on the reference
     executor (:mod:`repro.db`).  Two queries may share a canonical form
     only if they produce the same result values on *every* database
     over the schema.
 
-Rewrites applied on top of :func:`normalize` (each is justified
-against the executor's documented semantics in
-:mod:`repro.db.expressions`):
+Each rule is justified against the executor's documented semantics in
+:mod:`repro.db.expressions`:
 
-1. **Qualifier completion.**  In a multi-table query an unqualified
-   column ref is qualified with its owning table when exactly one FROM
-   table owns the column — precisely the executor's own name
-   resolution, which errors on any other case.  (Single-table queries
-   keep ``normalize``'s opposite convention: qualifiers are dropped.)
-2. **BETWEEN / chained-comparison normal form.**  ``col BETWEEN lo AND
+8. **Qualifier completion** (schema-aware).  In a multi-table query an
+   unqualified column ref is qualified with its owning table when
+   exactly one FROM table owns the column — precisely the executor's
+   own name resolution, which errors on any other case.
+9. **BETWEEN / chained-comparison normal form.**  ``col BETWEEN lo AND
    hi`` becomes ``col >= lo AND col <= hi`` — the executor evaluates
-   BETWEEN as exactly this conjunction (inclusive bounds, NULL→False),
-   so the spellings are one query.
-3. **IN-list normal form.**  ``col = a OR col = b [OR col IN (...)]``
-   over literal/placeholder values merges into a single sorted,
-   deduplicated ``col IN (a, b, ...)``; the executor's membership test
-   agrees with a disjunction of its ``=`` comparisons on every value
-   type it supports (NULL→False, cross-type→False).  Value lists are
-   deduplicated; single-value lists collapse back to ``=`` (via
-   ``normalize``).
-4. **Placeholder normalization.**  A typed constant placeholder is
-   renamed to the dotted upper-case ``TABLE.COLUMN`` of the column it
-   is compared against (the anonymization map's own convention), when
-   that column resolves uniquely — so ``@AGE`` and ``@PATIENT.AGE``
-   unify wherever they denote the same constant slot.  Renames are
-   applied only when they keep the query's placeholder set injective:
-   two *distinct* source placeholders are never merged into one name.
-5. **GROUP BY key ordering.**  GROUP BY keys are sorted by printed
-   form: the grouping partition is a *set* of keys, and the executor
-   emits groups in first-appearance scan order, which permuting the
-   key tuple cannot change.
-6. SELECT order, DISTINCT, ORDER BY and LIMIT are preserved verbatim —
-   they are part of the result.
+   BETWEEN as exactly this conjunction (inclusive bounds, NULL→False).
+10. **IN-list normal form.**  ``col = a OR col = b [OR col IN (...)]``
+    merges into a single sorted, deduplicated ``col IN (a, b, ...)``;
+    the executor's membership test agrees with a disjunction of its
+    ``=`` comparisons on every value type it supports (NULL→False,
+    cross-type→False).  Value lists are deduplicated, and a list left
+    with one value is ``=`` again.
+11. **Placeholder normalization** (schema-aware).  A typed constant
+    placeholder is renamed to the dotted upper-case ``TABLE.COLUMN`` of
+    the column it is compared against (the anonymization map's own
+    convention), when that column resolves uniquely — so ``@AGE`` and
+    ``@PATIENT.AGE`` unify wherever they denote the same constant slot.
+    Renames are applied only when they keep the query's placeholder set
+    injective: two *distinct* source placeholders are never merged.
+12. **GROUP BY key ordering.**  GROUP BY keys are sorted by printed
+    form: the grouping partition is a *set* of keys, and the executor
+    emits groups in first-appearance scan order, which permuting the
+    key tuple cannot change.
 
 There are no table aliases in this SQL subset, so alias normalization
 is the identity.  The differential fuzz suite
@@ -57,6 +74,9 @@ never special-cased.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
+from dataclasses import replace
+from operator import itemgetter
 
 from repro.sql.ast import (
     JOIN_PLACEHOLDER,
@@ -76,11 +96,19 @@ from repro.sql.ast import (
     Placeholder,
     Predicate,
     Query,
-    Star,
     Subquery,
 )
-from repro.sql.normalize import normalize
-from repro.sql.printer import to_sql
+from repro.sql.printer import predicate_to_sql, to_sql
+
+
+def normalize(query: Query) -> Query:
+    """Return ``query`` under the syntactic rules (1-7) only."""
+    return _rewrite(query, None, canonical=False)
+
+
+def canonical_sql(query: Query) -> str:
+    """Printed normalized form, the unit of exact-match comparison."""
+    return to_sql(normalize(query))
 
 
 def canonicalize(query: Query, schema=None) -> Query:
@@ -91,11 +119,7 @@ def canonicalize(query: Query, schema=None) -> Query:
     and placeholder normalization run too.  Idempotent:
     ``canonicalize(canonicalize(q)) == canonicalize(q)``.
     """
-    q = normalize(query)
-    q = _canonical_pass(q, schema)
-    # Re-normalize: the rewrites introduce conjuncts and IN lists that
-    # need flattening/sorting, and may re-expose single-value INs.
-    return normalize(q)
+    return _rewrite(query, schema, canonical=True)
 
 
 def canonical_text(query: Query, schema=None) -> str:
@@ -132,204 +156,267 @@ def canonical_key_for_sql(sql: str, schema=None) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# The canonical pass proper
+# The walk
 # ----------------------------------------------------------------------
 
 
-def _canonical_pass(query: Query, schema) -> Query:
+def _rewrite(query: Query, schema, canonical: bool) -> Query:
+    """Rules 1-7, plus rules 8-12 when ``canonical``; subqueries recurse."""
     concrete = [t for t in query.from_tables if t != JOIN_PLACEHOLDER]
+    single_table = None
+    if len(query.from_tables) == 1 and len(concrete) == 1:
+        single_table = concrete[0]
     schema_scope = (
-        schema is not None
+        canonical
+        and schema is not None
         and len(concrete) == len(query.from_tables)
         and all(t in schema for t in concrete)
     )
+    qualifying = schema_scope and len(concrete) > 1
 
-    def qualify(ref: ColumnRef) -> ColumnRef:
-        if (
-            schema_scope
-            and len(concrete) > 1
-            and ref.table is None
+    def ref(column: ColumnRef) -> ColumnRef:
+        if column.table is None:
+            if qualifying:
+                owners = [t for t in concrete if column.column in schema.table(t)]
+                if len(owners) == 1:
+                    return ColumnRef(column.column, owners[0])
+        elif column.table == single_table:
+            return ColumnRef(column.column)
+        return column
+
+    renames = (
+        _placeholder_renames(query, schema, concrete, ref) if schema_scope else {}
+    )
+
+    def operand(value):
+        if isinstance(value, ColumnRef):
+            return ref(value)
+        if isinstance(value, Subquery):
+            return Subquery(_rewrite(value.query, schema, canonical))
+        if isinstance(value, Literal):
+            if isinstance(value.value, float) and value.value.is_integer():
+                return Literal(int(value.value))
+        elif isinstance(value, Placeholder):
+            if value.name in renames:
+                return Placeholder(renames[value.name])
+        elif (
+            qualifying
+            and isinstance(value, Aggregate)
+            and isinstance(value.arg, ColumnRef)
         ):
-            owners = [t for t in concrete if ref.column in schema.table(t)]
-            if len(owners) == 1:
-                return ColumnRef(ref.column, owners[0])
-        return ref
+            return replace(value, arg=ref(value.arg))
+        return value
 
-    def qualify_item(item):
+    def select_item(item):
         if isinstance(item, ColumnRef):
-            return qualify(item)
+            return ref(item)
         if isinstance(item, Aggregate) and isinstance(item.arg, ColumnRef):
-            return Aggregate(item.func, qualify(item.arg), item.distinct)
+            return replace(item, arg=ref(item.arg))
         return item
 
-    def qualify_operand(operand):
-        if isinstance(operand, ColumnRef):
-            return qualify(operand)
-        if isinstance(operand, Aggregate):
-            return qualify_item(operand)
-        if isinstance(operand, Subquery):
-            return Subquery(_canonical_pass(operand.query, schema))
-        return operand
+    def in_list(pred: InPredicate, negate: bool, disjunct: bool) -> Predicate:
+        column = ref(pred.column)
+        sub = None
+        if pred.subquery is not None:
+            sub = Subquery(_rewrite(pred.subquery.query, schema, canonical))
+        values = sorted(map(operand, pred.values), key=str)
+        if len(values) == 1 and sub is None and not pred.negated:
+            # x IN (v) is x = v.
+            op = CompOp.NE if negate else CompOp.EQ
+            if canonical:
+                return _orient(column, op, values[0])
+            return Comparison(column, op, values[0])
+        negated = pred.negated != negate
+        if canonical:
+            values = _sorted_unique(values, str)
+            # A disjunct stays a list: the enclosing OR merges it (rule 10).
+            if len(values) == 1 and sub is None and not negated and not disjunct:
+                return Comparison(column, CompOp.EQ, values[0])
+        return InPredicate(column, tuple(values), sub, negated)
 
-    # ---- placeholder rename map (pass 4) --------------------------------
-    renames = _placeholder_renames(query, schema, concrete, schema_scope, qualify)
-
-    def operand_with_renames(operand):
-        operand = qualify_operand(operand)
-        if isinstance(operand, Placeholder) and operand.name in renames:
-            return Placeholder(renames[operand.name])
-        return operand
-
-    def rewrite(pred: Predicate) -> Predicate:
+    def walk(pred: Predicate, disjunct: bool = False) -> Predicate:
         if isinstance(pred, Comparison):
-            return Comparison(
-                operand_with_renames(pred.left),
-                pred.op,
-                operand_with_renames(pred.right),
-            )
-        if isinstance(pred, Between):
-            column = qualify(pred.column)
-            return And(
-                (
-                    Comparison(column, CompOp.GE, operand_with_renames(pred.low)),
-                    Comparison(column, CompOp.LE, operand_with_renames(pred.high)),
-                )
-            )
+            left, op, right = pred.left, pred.op, pred.right
+            if qualifying:
+                # Orient the written spelling first: completing a
+                # qualifier may tie two columns' printed forms.
+                first = _orient(left, op, right)
+                left, op, right = first.left, first.op, first.right
+            return _orient(operand(left), op, operand(right))
         if isinstance(pred, InPredicate):
-            sub = (
-                Subquery(_canonical_pass(pred.subquery.query, schema))
-                if pred.subquery
-                else None
-            )
-            values = _dedupe_values(
-                operand_with_renames(v) for v in pred.values
-            )
-            return InPredicate(qualify(pred.column), values, sub, pred.negated)
+            return in_list(pred, False, disjunct)
+        if isinstance(pred, Between):
+            column = ref(pred.column)
+            low, high = operand(pred.low), operand(pred.high)
+            if canonical:
+                return _join(
+                    And,
+                    [
+                        _orient(column, CompOp.GE, low),
+                        _orient(column, CompOp.LE, high),
+                    ],
+                )
+            return Between(column, low, high)
         if isinstance(pred, Like):
-            return Like(
-                qualify(pred.column),
-                operand_with_renames(pred.pattern),
-                pred.negated,
-            )
+            return Like(ref(pred.column), operand(pred.pattern), pred.negated)
         if isinstance(pred, Exists):
             return Exists(
-                Subquery(_canonical_pass(pred.subquery.query, schema)),
+                Subquery(_rewrite(pred.subquery.query, schema, canonical)),
                 pred.negated,
             )
         if isinstance(pred, Not):
-            return Not(rewrite(pred.operand))
+            inner = pred.operand
+            if isinstance(inner, Not):
+                return walk(inner.operand, disjunct)
+            if isinstance(inner, InPredicate):
+                # Negate before deduplicating values: NOT (x IN (1, 1))
+                # is x NOT IN (1), not x <> 1.
+                return in_list(inner, True, disjunct)
+            return _negate(walk(inner))
         if isinstance(pred, And):
-            return And(tuple(rewrite(p) for p in pred.operands))
+            return _join(And, _flatten(And, map(walk, pred.operands)))
         if isinstance(pred, Or):
-            return _merge_disjunction(tuple(rewrite(p) for p in pred.operands))
+            disjuncts = _flatten(Or, [walk(p, True) for p in pred.operands])
+            if canonical:
+                disjuncts = _merge_disjuncts(disjuncts, collapse=not disjunct)
+            return _join(Or, disjuncts)
         raise TypeError(f"unsupported predicate: {pred!r}")
 
+    select: list = []
+    for item in query.select:
+        item = select_item(item)
+        if item not in select:
+            select.append(item)
+    group_by = [ref(c) for c in query.group_by]
+    if canonical:
+        group_by.sort(key=str)
+
     return Query(
-        select=tuple(qualify_item(item) for item in query.select),
-        from_tables=query.from_tables,
-        where=rewrite(query.where) if query.where is not None else None,
-        group_by=tuple(
-            sorted((qualify(c) for c in query.group_by), key=str)
-        ),
-        having=rewrite(query.having) if query.having is not None else None,
+        select=tuple(select),
+        from_tables=tuple(sorted(query.from_tables)),
+        where=walk(query.where) if query.where is not None else None,
+        group_by=tuple(group_by),
+        having=walk(query.having) if query.having is not None else None,
         order_by=tuple(
-            OrderItem(qualify_item(o.expr), o.desc) for o in query.order_by
+            OrderItem(select_item(o.expr), o.desc) for o in query.order_by
         ),
         limit=query.limit,
         distinct=query.distinct,
     )
 
 
-def _dedupe_values(values) -> tuple:
-    seen: set[str] = set()
+def _orient(left, op: CompOp, right) -> Comparison:
+    """Column on the left; two columns in printed order (rule 1)."""
+    if isinstance(right, ColumnRef) and (
+        not isinstance(left, ColumnRef) or str(right) < str(left)
+    ):
+        return Comparison(right, op.flipped(), left)
+    return Comparison(left, op, right)
+
+
+def _negate(pred: Predicate) -> Predicate:
+    """Fold a ``NOT`` over a finished predicate (rule 2)."""
+    if isinstance(pred, Comparison):
+        return Comparison(pred.left, pred.op.negated(), pred.right)
+    if isinstance(pred, Not):
+        return pred.operand
+    if isinstance(pred, (InPredicate, Like, Exists)):
+        return replace(pred, negated=not pred.negated)
+    return Not(pred)
+
+
+def _flatten(kind, preds) -> list[Predicate]:
+    flat: list[Predicate] = []
+    for pred in preds:
+        if isinstance(pred, kind):
+            flat.extend(pred.operands)
+        else:
+            flat.append(pred)
+    return flat
+
+
+def _join(kind, preds: list[Predicate]) -> Predicate:
+    """Sort by printed form, drop duplicates, and rebuild ``kind`` (rule 3)."""
+    unique = _sorted_unique(preds, predicate_to_sql)
+    return unique[0] if len(unique) == 1 else kind(tuple(unique))
+
+
+def _sorted_unique(items, key) -> list:
+    """Stable sort by ``key``, keeping the first item of each key."""
     unique = []
-    for value in values:
-        key = str(value)
-        if key not in seen:
-            seen.add(key)
-            unique.append(value)
-    return tuple(unique)
+    last = None
+    for text, item in sorted(zip(map(key, items), items), key=itemgetter(0)):
+        if text != last:
+            unique.append(item)
+            last = text
+    return unique
 
 
-def _merge_disjunction(operands: tuple[Predicate, ...]) -> Predicate:
-    """Merge ``col = v`` / ``col IN (...)`` disjuncts per column (pass 3)."""
-    mergeable: dict[str, list] = {}  # printed column -> [colref, values]
+def _merge_disjuncts(disjuncts: list[Predicate], collapse: bool) -> list[Predicate]:
+    """Merge ``col = v`` / ``col IN (...)`` disjuncts per column (rule 10).
+
+    A merged single value becomes ``col = v`` only when ``collapse``;
+    an OR nested in another OR leaves it a list for the outer merge.
+    """
+    groups: dict[str, tuple[ColumnRef, list]] = {}
     rest: list[Predicate] = []
-    order: list[str] = []
-    for pred in operands:
-        target = _in_merge_target(pred)
-        if target is None:
+    for pred in disjuncts:
+        if (
+            isinstance(pred, Comparison)
+            and pred.op is CompOp.EQ
+            and isinstance(pred.left, ColumnRef)
+            and isinstance(pred.right, (Literal, Placeholder))
+        ):
+            column, values = pred.left, [pred.right]
+        elif (
+            isinstance(pred, InPredicate)
+            and not pred.negated
+            and pred.subquery is None
+            and pred.values
+        ):
+            column, values = pred.column, pred.values
+        else:
             rest.append(pred)
             continue
-        column, values = target
-        key = str(column)
-        if key not in mergeable:
-            mergeable[key] = [column, []]
-            order.append(key)
-        mergeable[key][1].extend(values)
+        groups.setdefault(str(column), (column, []))[1].extend(values)
     merged: list[Predicate] = []
-    for key in order:
-        column, values = mergeable[key]
-        values = _dedupe_values(values)
-        if len(values) == 1:
-            merged.append(Comparison(column, CompOp.EQ, values[0]))
+    for column, values in groups.values():
+        values = _sorted_unique(values, str)
+        if len(values) == 1 and collapse:
+            merged.append(_orient(column, CompOp.EQ, values[0]))
         else:
-            merged.append(InPredicate(column, values))
-    flat = merged + rest
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+            merged.append(InPredicate(column, tuple(values)))
+    return merged + rest
 
 
-def _in_merge_target(pred: Predicate):
-    """``(column, values)`` when ``pred`` is a mergeable membership test."""
-    if (
-        isinstance(pred, Comparison)
-        and pred.op is CompOp.EQ
-        and isinstance(pred.left, ColumnRef)
-        and isinstance(pred.right, (Literal, Placeholder))
-    ):
-        return pred.left, [pred.right]
-    if (
-        isinstance(pred, InPredicate)
-        and not pred.negated
-        and pred.subquery is None
-        and pred.values
-    ):
-        return pred.column, list(pred.values)
-    return None
+def _placeholder_renames(query: Query, schema, concrete, ref) -> dict[str, str]:
+    """Injective source-name → ``TABLE.COLUMN`` rename map (rule 11).
 
-
-def _placeholder_renames(
-    query: Query, schema, concrete, schema_scope: bool, qualify
-) -> dict[str, str]:
-    """Injective source-name → ``TABLE.COLUMN`` rename map (pass 4)."""
-    if not schema_scope:
-        return {}
-
+    A read-only scan of WHERE/HAVING, run before the walk rewrites them.
+    """
     proposals: dict[str, str] = {}
 
-    def resolve_table(ref: ColumnRef) -> str | None:
-        ref = qualify(ref)
-        if ref.table is not None:
-            return ref.table
-        if len(concrete) == 1 and ref.column in schema.table(concrete[0]):
+    def resolve_table(column: ColumnRef) -> str | None:
+        column = ref(column)
+        if column.table is not None:
+            return column.table
+        if len(concrete) == 1 and column.column in schema.table(concrete[0]):
             return concrete[0]
         return None
 
-    def propose(placeholder, ref: ColumnRef) -> None:
+    def propose(placeholder, column: ColumnRef) -> None:
         # Only normalize placeholders the anonymization map named after
         # the compared column (``@AGE`` / ``@PATIENTS.AGE`` against
         # ``age``); an unrelated name denotes a different constant slot
         # and must never be re-keyed onto this column.
-        if placeholder.column != ref.column.lower():
+        if placeholder.column != column.column.lower():
             return
-        table = resolve_table(ref)
+        table = resolve_table(column)
         if table is None:
             return
         if placeholder.table is not None and placeholder.table != table.lower():
             return
-        target = f"{table.upper()}.{ref.column.upper()}"
+        target = f"{table.upper()}.{column.column.upper()}"
         existing = proposals.get(placeholder.name)
         if existing is not None and existing != target:
             # Conflicting contexts: leave the placeholder alone.
@@ -364,17 +451,12 @@ def _placeholder_renames(
     for clause in (query.where, query.having):
         if clause is not None:
             scan(clause)
-
+    renamed = {s: t for s, t in proposals.items() if s != t}
+    if not renamed:
+        return {}
     # Enforce injectivity over the full placeholder-name population:
     # a rename that would collide with another source name (renamed or
     # not) is dropped, so two distinct constant slots never merge.
     population = {p.name for p in query.placeholders()}
-    mapping = {name: proposals.get(name, name) for name in population}
-    targets: dict[str, list[str]] = {}
-    for source, target in mapping.items():
-        targets.setdefault(target, []).append(source)
-    renames: dict[str, str] = {}
-    for source, target in mapping.items():
-        if target != source and len(targets[target]) == 1:
-            renames[source] = target
-    return renames
+    targets = Counter(renamed.get(name, name) for name in population)
+    return {s: t for s, t in renamed.items() if targets[t] == 1}

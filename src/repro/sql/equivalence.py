@@ -5,10 +5,10 @@ The Patients benchmark "tests instead for semantic equivalence" (paper
 Cosette as the general tool.  Our stand-in combines two sound-in-
 practice checks:
 
-1. **Canonical-form equality** — normalize both ASTs
-   (:mod:`repro.sql.normalize`) and compare structurally.  This proves
-   equivalence for commutativity, comparison flips, double negation,
-   single-value ``IN``, and redundant qualification.
+1. **Normalized-form equality** — normalize both ASTs
+   (:func:`repro.sql.canonical.normalize`) and compare structurally.
+   This proves equivalence for commutativity, comparison flips, double
+   negation, single-value ``IN``, and redundant qualification.
 2. **Execution equivalence** — execute both queries against one or more
    sample databases and compare result multisets (order-sensitive only
    when the queries order their output).  Agreement on all probes is
@@ -19,6 +19,10 @@ Check 2 is a randomized decision procedure: equal outputs on sample
 data do not *prove* equivalence in general, but with adversarial probe
 data generated from the query constants, it matches the manual
 "enumerated equivalent answers" protocol of the paper.
+
+The three-verdict oracle that never upgrades probe agreement to
+equivalence is :class:`repro.analysis.equivalence.EquivalenceOracle`;
+it shares :func:`_results_match` with this checker.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable
 
 from repro.errors import ExecutionError, ReproError
 from repro.sql.ast import Query
-from repro.sql.normalize import normalize
+from repro.sql.canonical import normalize
 
 
 def structurally_equivalent(left: Query, right: Query) -> bool:
@@ -111,31 +115,6 @@ class EquivalenceChecker:
             agreed = True
         return agreed
 
-    def verdict(self, left: Query, right: Query, schema=None) -> str:
-        """Three-verdict form of :meth:`equivalent` (PR 10 contract).
-
-        ``EQUIVALENT`` requires a canonical-form proof
-        (:mod:`repro.sql.canonical`); probe agreement alone yields
-        ``UNKNOWN`` (never upgraded), and a probe disagreement yields
-        ``DISTINCT``.  The boolean :meth:`equivalent` keeps its looser
-        execution-agreement acceptance for the Patients protocol.
-        """
-        from repro.analysis.equivalence import DISTINCT, EQUIVALENT, UNKNOWN
-        from repro.sql.canonical import canonicalize
-
-        if canonicalize(left, schema) == canonicalize(right, schema):
-            return EQUIVALENT
-        order_sensitive = bool(left.order_by) and bool(right.order_by)
-        for session in self._probe_sessions():
-            try:
-                left_rows = session.execute(left)
-                right_rows = session.execute(right)
-            except (ExecutionError, ReproError):
-                continue
-            if not _results_match(left_rows, right_rows, order_sensitive):
-                return DISTINCT
-        return UNKNOWN
-
     def perf_report(self) -> dict:
         """Executor stage timings + cache counters over all probes."""
         sessions = self._sessions or []
@@ -152,6 +131,7 @@ class EquivalenceChecker:
 
 
 def _results_match(left_rows, right_rows, order_sensitive: bool) -> bool:
+    """Result-value comparison (column labels excluded on purpose)."""
     left_values = [tuple(row.values()) for row in left_rows]
     right_values = [tuple(row.values()) for row in right_rows]
     if order_sensitive:

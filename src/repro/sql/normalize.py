@@ -1,183 +1,12 @@
-"""Canonicalization of SQL ASTs.
+"""Import path for :func:`canonical_sql` and :func:`normalize`.
 
-Normalization makes structural equality meaningful: two queries that
-differ only in commutative operand order, comparison direction,
-redundant NOT, or redundant table qualification normalize to the same
-AST.  The exact-match metric and the first stage of the semantic
-equivalence checker both compare normalized forms.
-
-Rules applied (documented so benchmark semantics are auditable):
-
-1. ``a OP b`` with the column on the right is flipped (``18 < age``
-   becomes ``age > 18``).
-2. ``NOT`` over a comparison folds into the negated operator; ``NOT
-   (NOT p)`` cancels; ``NOT BETWEEN``/``NOT IN``/``NOT LIKE``/``NOT
-   EXISTS`` fold into the predicate's ``negated`` flag.
-3. AND/OR operand lists are flattened and sorted by printed form.
-4. ``IN`` value lists are sorted.
-5. Table qualifiers on column refs are dropped when the query reads
-   from a single concrete table (they are redundant there).
-6. SELECT items and GROUP BY keys keep their order (projection order is
-   part of the answer), but duplicate SELECT items are collapsed.
-7. ``LIMIT``/``ORDER BY`` are preserved verbatim.
+Both live in :mod:`repro.sql.canonical`; this module only re-exports
+them for the serving benchmark (``perfbench/``).  Library code imports
+from :mod:`repro.sql.canonical` — importing this module rebinds the
+package attribute ``repro.sql.normalize`` from the function to the
+module.
 """
 
-from __future__ import annotations
+from repro.sql.canonical import canonical_sql, normalize
 
-from dataclasses import replace
-
-from repro.sql.ast import (
-    JOIN_PLACEHOLDER,
-    And,
-    Between,
-    ColumnRef,
-    CompOp,
-    Comparison,
-    Exists,
-    InPredicate,
-    Like,
-    Literal,
-    Not,
-    Or,
-    OrderItem,
-    Predicate,
-    Query,
-    Star,
-    Subquery,
-)
-from repro.sql.printer import to_sql
-
-
-def normalize(query: Query) -> Query:
-    """Return the canonical form of ``query``."""
-    single_table = None
-    concrete = [t for t in query.from_tables if t != JOIN_PLACEHOLDER]
-    if len(query.from_tables) == 1 and len(concrete) == 1:
-        single_table = concrete[0]
-
-    def norm_ref(ref: ColumnRef) -> ColumnRef:
-        if single_table is not None and ref.table == single_table:
-            return ColumnRef(ref.column)
-        return ref
-
-    def norm_operand(operand):
-        if isinstance(operand, ColumnRef):
-            return norm_ref(operand)
-        if isinstance(operand, Subquery):
-            return Subquery(normalize(operand.query))
-        if isinstance(operand, Literal) and isinstance(operand.value, float):
-            # 18.0 and 18 are the same constant.
-            if operand.value.is_integer():
-                return Literal(int(operand.value))
-        return operand
-
-    def norm_select_item(item):
-        if isinstance(item, ColumnRef):
-            return norm_ref(item)
-        if isinstance(item, Star):
-            return item
-        return replace(item, arg=norm_ref(item.arg) if isinstance(item.arg, ColumnRef) else item.arg)
-
-    def norm_pred(pred: Predicate) -> Predicate:
-        if isinstance(pred, Comparison):
-            left = norm_operand(pred.left)
-            right = norm_operand(pred.right)
-            left_is_col = isinstance(left, ColumnRef)
-            right_is_col = isinstance(right, ColumnRef)
-            if right_is_col and not left_is_col:
-                left, right = right, left
-                pred = Comparison(left, pred.op.flipped(), right)
-            elif left_is_col and right_is_col and str(right) < str(left):
-                # Join conditions: order the two columns deterministically.
-                pred = Comparison(right, pred.op.flipped(), left)
-            else:
-                pred = Comparison(left, pred.op, right)
-            return pred
-        if isinstance(pred, Between):
-            return Between(norm_ref(pred.column), norm_operand(pred.low), norm_operand(pred.high))
-        if isinstance(pred, InPredicate):
-            sub = Subquery(normalize(pred.subquery.query)) if pred.subquery else None
-            values = tuple(sorted((norm_operand(v) for v in pred.values), key=str))
-            if len(values) == 1 and sub is None and not pred.negated:
-                # x IN (v) is x = v.
-                return Comparison(norm_ref(pred.column), CompOp.EQ, values[0])
-            return InPredicate(norm_ref(pred.column), values, sub, pred.negated)
-        if isinstance(pred, Like):
-            return Like(norm_ref(pred.column), norm_operand(pred.pattern), pred.negated)
-        if isinstance(pred, Exists):
-            return Exists(Subquery(normalize(pred.subquery.query)), pred.negated)
-        if isinstance(pred, Not):
-            inner = norm_pred(pred.operand)
-            if isinstance(inner, Comparison):
-                return Comparison(inner.left, inner.op.negated(), inner.right)
-            if isinstance(inner, Not):
-                return inner.operand
-            if isinstance(inner, InPredicate):
-                return replace(inner, negated=not inner.negated)
-            if isinstance(inner, Like):
-                return replace(inner, negated=not inner.negated)
-            if isinstance(inner, Exists):
-                return replace(inner, negated=not inner.negated)
-            return Not(inner)
-        if isinstance(pred, And):
-            flat: list[Predicate] = []
-            for operand in pred.operands:
-                normed = norm_pred(operand)
-                if isinstance(normed, And):
-                    flat.extend(normed.operands)
-                else:
-                    flat.append(normed)
-            flat = _sorted_unique(flat)
-            return flat[0] if len(flat) == 1 else And(tuple(flat))
-        if isinstance(pred, Or):
-            flat = []
-            for operand in pred.operands:
-                normed = norm_pred(operand)
-                if isinstance(normed, Or):
-                    flat.extend(normed.operands)
-                else:
-                    flat.append(normed)
-            flat = _sorted_unique(flat)
-            return flat[0] if len(flat) == 1 else Or(tuple(flat))
-        raise TypeError(f"unsupported predicate: {pred!r}")
-
-    select: list = []
-    for item in query.select:
-        normed = norm_select_item(item)
-        if normed not in select:
-            select.append(normed)
-
-    return Query(
-        select=tuple(select),
-        from_tables=tuple(sorted(query.from_tables)),
-        where=norm_pred(query.where) if query.where is not None else None,
-        group_by=tuple(norm_ref(c) for c in query.group_by),
-        having=norm_pred(query.having) if query.having is not None else None,
-        order_by=tuple(
-            OrderItem(norm_select_item(o.expr), o.desc) for o in query.order_by
-        ),
-        limit=query.limit,
-        distinct=query.distinct,
-    )
-
-
-def _sorted_unique(preds: list[Predicate]) -> list[Predicate]:
-    seen: set[str] = set()
-    unique: list[Predicate] = []
-    for pred in sorted(preds, key=_pred_key):
-        key = _pred_key(pred)
-        if key not in seen:
-            seen.add(key)
-            unique.append(pred)
-    return unique
-
-
-def _pred_key(pred: Predicate) -> str:
-    from repro.sql.printer import predicate_to_sql  # reuse the printer
-
-    return predicate_to_sql(pred)
-
-
-def canonical_sql(query: Query) -> str:
-    """Printed canonical form, the unit of exact-match comparison."""
-    return to_sql(normalize(query))
+__all__ = ["canonical_sql", "normalize"]

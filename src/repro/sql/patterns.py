@@ -32,7 +32,7 @@ from repro.sql.ast import (
     Star,
     Subquery,
 )
-from repro.sql.normalize import normalize
+from repro.sql.canonical import normalize
 
 
 def pattern_signature(query: Query) -> str:

@@ -26,7 +26,7 @@ from repro.adapters import MemoryAdapter, SqliteAdapter
 from repro.db import populate
 from repro.errors import ReproError
 from repro.schema import SCHEMA_FACTORIES, load_schema
-from repro.sql.normalize import canonical_sql
+from repro.sql.canonical import canonical_sql
 from tests.test_db_executor_diff import corpus_queries, schema_probe_queries
 
 pytestmark = pytest.mark.adapters

@@ -13,7 +13,6 @@ from repro.analysis.equivalence import (
     UNKNOWN,
     VERDICTS,
     EquivalenceOracle,
-    check_equivalence,
 )
 from repro.db import populate
 from repro.schema import load_schema
@@ -95,39 +94,63 @@ class TestVerdicts:
         assert all("seed" in p for p in record["probes"])
         assert all("code" in d for d in record["diagnostics"])
 
-    def test_check_equivalence_convenience(self, patients):
-        result = check_equivalence(
-            parse("SELECT name FROM patients"),
-            parse("SELECT name FROM patients"),
-            patients,
-            seeds=(0,),
-            rows_per_table=5,
+    def test_oracle_one_shot_with_seeded_probes(self, patients):
+        oracle = EquivalenceOracle(patients, seeds=(0,), rows_per_table=5)
+        same = oracle.check(
+            parse("SELECT name FROM patients"), parse("SELECT name FROM patients")
         )
-        assert result.verdict == EQUIVALENT
+        assert same.verdict == EQUIVALENT
+        # Probe databases the oracle builds itself carry their seed.
+        result = oracle.check(
+            parse("SELECT name FROM patients WHERE age >= 0"),
+            parse("SELECT name FROM patients WHERE age < 0"),
+        )
+        assert result.verdict == DISTINCT
+        assert [p.seed for p in result.probes] == [0]
+        assert any("seed=0" in d.message for d in result.report.sorted())
+
+    def test_supplied_databases_labelled_by_position(self, patients, oracle):
+        # Caller-supplied databases were never built from the oracle's
+        # seeds, so their probes are numbered by position instead.
+        databases = oracle._probe_databases() + [
+            populate(patients, rows_per_table=25, seed=5)
+        ]
+        supplied = EquivalenceOracle(patients, databases=databases)
+        agreeing = supplied.check(
+            parse("SELECT name FROM patients WHERE name = 'zz_nobody'"),
+            parse("SELECT name FROM patients WHERE name = 'zz_phantom'"),
+        )
+        assert agreeing.verdict == UNKNOWN
+        assert [p.seed for p in agreeing.probes] == [0, 1, 2]
+        diverging = supplied.check(
+            parse("SELECT name FROM patients WHERE age >= 0"),
+            parse("SELECT name FROM patients WHERE age < 0"),
+        )
+        assert diverging.verdict == DISTINCT
+        messages = [d.message for d in diverging.report.sorted()]
+        assert any("probe database #0" in m for m in messages)
+        assert not any("seed=" in m for m in messages)
 
     def test_checker_verdict_three_way(self, patients, oracle):
-        # EquivalenceChecker.verdict mirrors the oracle lattice: the
-        # probe-agreement acceptance of ``equivalent`` is not carried
-        # over.
+        # The oracle's lattice does not carry over the probe-agreement
+        # acceptance of ``EquivalenceChecker.equivalent``.
         checker = EquivalenceChecker(databases=oracle._probe_databases())
         a = parse("SELECT name FROM patients WHERE name = 'zz_nobody'")
         b = parse("SELECT name FROM patients WHERE name = 'zz_phantom'")
-        assert checker.verdict(a, b, patients) == UNKNOWN
+        assert oracle.check(a, b).verdict == UNKNOWN
         assert checker.equivalent(a, b)  # the looser Patients protocol
         assert (
-            checker.verdict(
+            oracle.check(
                 parse("SELECT name FROM patients WHERE age BETWEEN 1 AND 2"),
                 parse("SELECT name FROM patients WHERE age >= 1 AND age <= 2"),
-                patients,
-            )
+            ).verdict
             == EQUIVALENT
         )
         assert (
-            checker.verdict(
+            oracle.check(
                 parse("SELECT name FROM patients WHERE age >= 0"),
                 parse("SELECT name FROM patients WHERE age < 0"),
-                patients,
-            )
+            ).verdict
             == DISTINCT
         )
 

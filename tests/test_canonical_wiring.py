@@ -94,15 +94,6 @@ class TestServingCanonicalTier:
         assert flipped.sql != straight.sql
         assert str(ages[0]) in flipped.sql
 
-    def test_canonical_cache_flag_off(self, patients_db):
-        age = sorted(set(patients_db.column_values("patients", "age")))[0]
-        with _service(
-            patients_db, ParaphraseModel(), canonical_cache=False
-        ) as service:
-            service.translate(f"show the patients with age {age}")
-            stats = service.stats()
-        assert "canonical_probes" not in stats["cache"]
-
     def test_unparseable_output_counts_skipped(self, patients_db):
         class BrokenModel(ParaphraseModel):
             SPELLINGS = {"show": "THIS IS NOT SQL ((("}
@@ -195,20 +186,6 @@ class TestSemanticDedupe:
         clone = pickle.loads(pickle.dumps(pair))
         assert "_semantic_key" not in clone.__dict__
         assert clone.semantic_key(patients) == key
-
-    def test_pipeline_semantic_flag(self, patients):
-        config = GenerationConfig(size_slotfills=4)
-        baseline = TrainingPipeline(patients, config, seed=1).generate()
-        filtered = TrainingPipeline(
-            patients, config, seed=1, semantic_dedupe=True
-        ).generate()
-        # The filtered corpus is a subsequence of the exact-deduped one
-        # and every surviving pair has a unique (nl, canonical) key.
-        assert len(filtered.pairs) <= len(baseline.pairs)
-        keys = [p.semantic_key(patients) for p in filtered.pairs]
-        assert len(keys) == len(set(keys))
-        survivors = set(p.key() for p in filtered.pairs)
-        assert survivors <= set(p.key() for p in baseline.pairs)
 
     def test_pipeline_default_bit_identical(self, patients, patients_corpus):
         config = GenerationConfig(size_slotfills=4)

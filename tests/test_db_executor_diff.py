@@ -31,7 +31,7 @@ from repro.db.planner import ExecutorSession, execute_planned
 from repro.errors import ExecutionError, ReproError
 from repro.runtime.postprocess import PostProcessor, _transform_query
 from repro.schema import SCHEMA_FACTORIES, load_schema
-from repro.sql.normalize import canonical_sql
+from repro.sql.canonical import canonical_sql
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 

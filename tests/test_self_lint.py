@@ -1,7 +1,8 @@
 """Self-lint: the analyzer's house rules applied to our own source.
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
-three rules that have each caused real bugs in serving stacks:
+three rules that have each caused real bugs in serving stacks, plus one
+layering rule:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -13,6 +14,9 @@ three rules that have each caused real bugs in serving stacks:
   TTL/timeout math.  The rule is enforced repo-wide: modules that
   legitimately need wall-clock timestamps don't exist here, so any
   appearance is a defect.
+* **no ``repro.sql.normalize`` imports** — that module only re-exports
+  :mod:`repro.sql.canonical` for the serving benchmark; library code
+  imports the canonicalizer directly.
 """
 
 from __future__ import annotations
@@ -99,6 +103,28 @@ def test_no_wall_clock_time():
     assert _findings(check) == []
 
 
+def _imports_normalize_module(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "repro.sql.normalize" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "repro.sql.normalize":
+            return True
+        # ``from repro.sql import normalize`` names the function when the
+        # package exports it, but the rule keeps the spelling unambiguous.
+        return node.module == "repro.sql" and any(
+            alias.name == "normalize" for alias in node.names
+        )
+    return False
+
+
+def test_no_normalize_module_imports():
+    def check(node):
+        if _imports_normalize_module(node):
+            return "import from repro.sql.canonical, not repro.sql.normalize"
+
+    assert _findings(check) == []
+
+
 class TestLintRulesDetect:
     """The rules themselves must catch seeded defects (meta-mutation)."""
 
@@ -121,6 +147,20 @@ class TestLintRulesDetect:
         tree = ast.parse("def f(x=[]):\n    pass\n")
         func = tree.body[0]
         assert any(isinstance(d, MUTABLE_NODES) for d in func.args.defaults)
+
+    @pytest.mark.parametrize(
+        "source, bad",
+        [
+            ("import repro.sql.normalize\n", True),
+            ("from repro.sql.normalize import canonical_sql\n", True),
+            ("from repro.sql import normalize\n", True),
+            ("from repro.sql.canonical import normalize\n", False),
+            ("from repro.sql import canonical_sql\n", False),
+        ],
+    )
+    def test_normalize_import_rule(self, source, bad):
+        node = ast.parse(source).body[0]
+        assert _imports_normalize_module(node) is bad
 
     def test_wall_clock_rule(self):
         tree = ast.parse("import time\nt = time.time()\n")
