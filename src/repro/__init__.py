@@ -40,7 +40,7 @@ from repro.core import (
     grid_search,
     random_search,
 )
-from repro.db import Database, ValueIndex, execute, populate
+from repro.db import Database, ValueIndex, populate
 from repro.neural import (
     RetrievalModel,
     Seq2SeqModel,
@@ -76,7 +76,6 @@ __all__ = [
     "TranslationModel",
     "ValueIndex",
     "all_schemas",
-    "execute",
     "grid_search",
     "load_model",
     "load_schema",

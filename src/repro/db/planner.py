@@ -38,6 +38,7 @@ timings for scan / join / filter / group / sort.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -552,7 +553,9 @@ class ExecutorSession:
         self.value_index = value_index
         self.recorder = recorder if recorder is not None else PerfRecorder()
         self._cache_size = cache_size
-        self._cache: OrderedDict[str, list[Row]] = OrderedDict()
+        self._cache: OrderedDict[tuple, list[Row]] = OrderedDict()
+        # Guards the cache and its counters; never held while executing.
+        self._cache_lock = threading.Lock()
         self._eq_indexes: dict[tuple[str, str], dict[Any, list[Row]]] = {}
         self._db_version = database.version
         self.cache_hits = 0
@@ -569,7 +572,8 @@ class ExecutorSession:
 
     def _check_version(self) -> None:
         if self.database.version != self._db_version:
-            self._cache.clear()
+            with self._cache_lock:
+                self._cache.clear()
             self._eq_indexes.clear()
             self._db_version = self.database.version
 
@@ -580,23 +584,35 @@ class ExecutorSession:
 
         Cache entries key on :func:`canonical_sql`, so cosmetically
         different but canonically identical queries (the repeated gold
-        queries of an eval report) share one execution.  Returned rows
-        are fresh dict copies — callers may mutate them freely.
+        queries of an eval report) share one execution.  The key also
+        holds the query's own SELECT labels and FROM order, which
+        canonical SQL drops or sorts but which name the output columns
+        and order the rows.  Returned rows are fresh dict copies —
+        callers may mutate them freely.  Safe to call from many threads.
         """
         self._check_version()
-        key = canonical_sql(query) if use_cache and self._cache_size > 0 else None
-        if key is not None and key in self._cache:
-            self.cache_hits += 1
-            self._cache.move_to_end(key)
-            rows = self._cache[key]
-        else:
-            if key is not None:
-                self.cache_misses += 1
+        rows = None
+        key = None
+        if use_cache and self._cache_size > 0:
+            key = (
+                canonical_sql(query),
+                tuple(str(item) for item in query.select),
+                tuple(query.from_tables),
+            )
+            with self._cache_lock:
+                rows = self._cache.get(key)
+                if rows is None:
+                    self.cache_misses += 1
+                else:
+                    self.cache_hits += 1
+                    self._cache.move_to_end(key)
+        if rows is None:
             rows = execute_planned(query, self.database, session=self)
             if key is not None:
-                self._cache[key] = rows
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
+                with self._cache_lock:
+                    self._cache[key] = rows
+                    while len(self._cache) > self._cache_size:
+                        self._cache.popitem(last=False)
         copied = [dict(row) for row in rows]
         return copied[:max_rows] if max_rows is not None else copied
 

@@ -49,7 +49,7 @@ class DBPal:
         A fitted :class:`~repro.neural.base.TranslationModel`; if
         omitted, call :meth:`train` first.
     backend:
-        Execution backend for :meth:`query`: ``None`` (default) runs
+        Execution backend for :meth:`execute`: ``None`` (default) runs
         the in-memory planned executor directly, ``"memory"``/
         ``"sqlite"`` select a :mod:`repro.adapters` backend by name
         (sqlite mirrors ``database`` into an in-process engine), and a
@@ -129,16 +129,21 @@ class DBPal:
             repaired=processed.repaired if processed else False,
         )
 
+    def execute(self, query: Query, max_rows: int | None = None) -> list[Row]:
+        """Run ``query`` on the configured backend, else the planned session:
+        the one engine choice behind :meth:`query` and serving ``query()``."""
+        if self.backend is not None:
+            return self.backend.execute(query, max_rows=max_rows)
+        return self.executor.execute(query, max_rows=max_rows)
+
     def query(self, nl: str, max_rows: int | None = None) -> list[Row]:
-        """Translate and execute; raises on untranslatable questions."""
+        """Translate, then :meth:`execute`; raises on untranslatable questions."""
         result = self.translate(nl)
         if not result.ok:
             raise TranslationError(
                 f"could not translate {nl!r} (model output: {result.model_output!r})"
             )
-        if self.backend is not None:
-            return self.backend.execute(result.query, max_rows=max_rows)
-        return self.executor.execute(result.query, max_rows=max_rows)
+        return self.execute(result.query, max_rows=max_rows)
 
     def explain(self, nl: str) -> str:
         """Human-readable trace of the translation pipeline for ``nl``."""

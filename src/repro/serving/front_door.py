@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
-from repro.errors import ServingError, TranslationError
+from repro.errors import ServingError
 from repro.perf.instrumentation import PerfRecorder
 from repro.serving.config import ServingConfig, ShardedConfig
 from repro.serving.hashring import HashRing
@@ -59,6 +59,7 @@ from repro.serving.service import (
     SOURCE_NONE,
     ServiceFailure,
     ServingResponse,
+    ServingTier,
 )
 from repro.serving.shard import ShardSpec, shard_main
 
@@ -96,7 +97,7 @@ class _Shard:
     waiters: dict[int, Future] = field(default_factory=dict)  # stats/reload/...
 
 
-class ShardedService:
+class ShardedService(ServingTier):
     """N shard processes behind a consistent-hash-routing async front door.
 
     Parameters
@@ -137,7 +138,7 @@ class ShardedService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
         self._dispatch: ThreadPoolExecutor | None = None
-        self._nlidb = None
+        self.nlidb = None
         self._preprocess = None
         self._running = False
         self._stopping = False
@@ -164,10 +165,10 @@ class ShardedService:
                 return self
             # The front door needs its own preprocessor: the routing key
             # *is* the anonymized question.  One extra replica build in
-            # the parent also gives ``query()`` a database to execute on.
-            self._nlidb = self.spec.build()
+            # the parent also gives ``query()`` a facade to execute on.
+            self.nlidb = self.spec.build()
             self._preprocess = lru_cache(maxsize=4096)(
-                self._nlidb.preprocessor.preprocess
+                self.nlidb.preprocessor.preprocess
             )
             self._dispatch = ThreadPoolExecutor(
                 max_workers=self.config.dispatch_threads,
@@ -229,12 +230,6 @@ class ShardedService:
             loop.close()
             self._loop_thread = None
 
-    def __enter__(self) -> "ShardedService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     # Public API (mirrors TranslationService)
     # ------------------------------------------------------------------
@@ -268,16 +263,6 @@ class ShardedService:
                            future=future, started=started)
         self._dispatch.submit(self._preprocess_and_route, pending)
         return future
-
-    def query(self, nl: str, max_rows: int | None = None):
-        """Translate via the cluster, then execute (raises on failure)."""
-        response = self.translate(nl)
-        if response.result is None or not response.result.ok:
-            detail = response.failure.message if response.failure else "no SQL produced"
-            raise TranslationError(f"could not serve {nl!r}: {detail}")
-        from repro.db.executor import execute
-
-        return execute(response.result.query, self._nlidb.database, max_rows=max_rows)
 
     def rolling_reload(self, loader: Callable, *args, **kwargs) -> list[dict]:
         """Swap every shard's model, one shard at a time, zero downtime.

@@ -14,6 +14,8 @@ the model calls)::
                                   exception)           │
                                                        ▼
                                 postprocess (restore THIS request's constants)
+                                     └─ query() only: DBPal.execute (the configured
+                                        backend, else the planned ExecutorSession)
 
 Two properties matter and are tested:
 
@@ -164,6 +166,27 @@ class ServingResponse:
         return record
 
 
+class ServingTier:
+    """What both serving tiers share: the context-manager lifecycle, and
+    :meth:`query`, which runs the served SQL through ``nlidb.execute``."""
+
+    nlidb: DBPal
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def query(self, nl: str, max_rows: int | None = None):
+        """Translate, then :meth:`DBPal.execute` (raises on failure)."""
+        response = self.translate(nl)
+        if response.result is None or not response.result.ok:
+            detail = response.failure.message if response.failure else "no SQL produced"
+            raise TranslationError(f"could not serve {nl!r}: {detail}")
+        return self.nlidb.execute(response.result.query, max_rows=max_rows)
+
+
 #: Flight outcome statuses (model side of a single-flight future).
 _MODEL_OK = "model_ok"
 _MODEL_DOWN = "model_down"
@@ -177,7 +200,7 @@ class _Flight:
     coalesced: int = 0  # extra requests riding this flight
 
 
-class TranslationService:
+class TranslationService(ServingTier):
     """Concurrent, cached, degradable serving over a ``DBPal`` facade.
 
     Parameters
@@ -285,12 +308,6 @@ class TranslationService:
         if executor is not None:
             executor.shutdown(wait=True)
         self._batcher.stop(timeout=timeout)
-
-    def __enter__(self) -> "TranslationService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # Public API
@@ -407,16 +424,6 @@ class TranslationService:
             raise ServingError("cannot reload to a None model")
         self.nlidb.model = model
         self.metrics.increment("model.reloads")
-
-    def query(self, nl: str, max_rows: int | None = None):
-        """Translate via the service, then execute (raises on failure)."""
-        response = self.translate(nl)
-        if response.result is None or not response.result.ok:
-            detail = response.failure.message if response.failure else "no SQL produced"
-            raise TranslationError(f"could not serve {nl!r}: {detail}")
-        from repro.db.executor import execute
-
-        return execute(response.result.query, self.nlidb.database, max_rows=max_rows)
 
     #: What the two per-stage time columns mean (surfaced verbatim in
     #: ``--stats`` / ``--stats-json`` so a 600%-looking utilization is

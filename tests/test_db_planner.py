@@ -224,6 +224,58 @@ def test_session_cache_is_bounded(retail_db):
     assert len(session._cache) == 2
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            "SELECT patients.name, patients.age FROM patients WHERE patients.age > 30",
+            "SELECT name, age FROM patients WHERE 30 < age",
+        ),
+        ("SELECT AVG(patients.age) FROM patients", "SELECT AVG(age) FROM patients"),
+    ],
+)
+def test_session_cache_hit_keeps_the_querys_own_labels(patients_db, first, second):
+    session = ExecutorSession(patients_db)
+    for sql in (first, second):
+        query = parse(sql)
+        assert session.execute(query) == execute(query, patients_db)
+
+
+def test_session_cache_is_thread_safe(retail_db):
+    import sys
+    import threading
+
+    # Each thread repeats its own query: hits on one thread race the
+    # evictions the other threads' stores cause in a one-entry cache.
+    queries = [
+        parse(f"SELECT name FROM customer WHERE age > {age}") for age in range(20, 60, 5)
+    ]
+    expected = [execute(query, retail_db) for query in queries]
+    session = ExecutorSession(retail_db, cache_size=1)
+    errors: list[Exception] = []
+
+    def worker(index: int) -> None:
+        try:
+            for _ in range(40):
+                assert session.execute(queries[index]) == expected[index]
+        except Exception as error:  # noqa: BLE001 — reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert session.cache_hits + session.cache_misses == 8 * 40
+
+
 def test_value_index_prunes_impossible_constant(retail_db):
     index = ValueIndex(retail_db)
     session = ExecutorSession(retail_db, value_index=index)

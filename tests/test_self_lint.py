@@ -1,8 +1,8 @@
 """Self-lint: the analyzer's house rules applied to our own source.
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
-three rules that have each caused real bugs in serving stacks, plus one
-layering rule:
+three rules that have each caused real bugs in serving stacks, plus two
+layering rules:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -17,6 +17,10 @@ layering rule:
 * **no ``repro.sql.normalize`` imports** — that module only re-exports
   :mod:`repro.sql.canonical` for the serving benchmark; library code
   imports the canonicalizer directly.
+* **no naive executor in ``serving/`` or ``runtime/``** — runtime SQL
+  runs through ``DBPal.execute`` (the configured backend, else the
+  planned session); :func:`repro.db.executor.execute` is the
+  differential-test oracle only.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ def test_source_tree_is_substantial():
     assert len(repro_modules()) > 40
 
 
-def _findings(check) -> list[str]:
+def _findings(check, packages: tuple[str, ...] = ()) -> list[str]:
+    """``check`` over every module, or only those under ``packages``."""
     findings = []
     for path in repro_modules():
+        if packages and path.relative_to(SRC_ROOT).parts[0] not in packages:
+            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             message = check(node)
@@ -125,6 +132,26 @@ def test_no_normalize_module_imports():
     assert _findings(check) == []
 
 
+def _imports_naive_executor(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "repro.db.executor" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "repro.db.executor":
+            return True
+        return node.module == "repro.db" and any(
+            alias.name in ("executor", "execute") for alias in node.names
+        )
+    return False
+
+
+def test_no_naive_executor_on_runtime_paths():
+    def check(node):
+        if _imports_naive_executor(node):
+            return "execute through DBPal.execute, not the naive executor"
+
+    assert _findings(check, packages=("serving", "runtime")) == []
+
+
 class TestLintRulesDetect:
     """The rules themselves must catch seeded defects (meta-mutation)."""
 
@@ -161,6 +188,21 @@ class TestLintRulesDetect:
     def test_normalize_import_rule(self, source, bad):
         node = ast.parse(source).body[0]
         assert _imports_normalize_module(node) is bad
+
+    @pytest.mark.parametrize(
+        "source, bad",
+        [
+            ("import repro.db.executor\n", True),
+            ("from repro.db.executor import execute\n", True),
+            ("from repro.db import execute\n", True),
+            ("from repro.db import executor\n", True),
+            ("from repro.db import ExecutorSession, populate\n", False),
+            ("from repro.db.planner import ExecutorSession\n", False),
+        ],
+    )
+    def test_naive_executor_import_rule(self, source, bad):
+        node = ast.parse(source).body[0]
+        assert _imports_naive_executor(node) is bad
 
     def test_wall_clock_rule(self):
         tree = ast.parse("import time\nt = time.time()\n")

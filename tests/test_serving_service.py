@@ -1,5 +1,6 @@
 """End-to-end TranslationService behavior: statuses, degradation,
-admission control, timeouts, async submission, and the CLI wiring.
+admission control, timeouts, async submission, the execution path of
+``query()``, and the CLI wiring.
 """
 
 import json
@@ -8,9 +9,13 @@ import time
 
 import pytest
 
+from repro.adapters import MemoryAdapter, normalize_rows
+from repro.db.executor import execute
+from repro.errors import ReproError, TranslationError
 from repro.neural.base import TranslationModel
 from repro.runtime import DBPal
 from repro.serving import ServingConfig, TranslationService
+from repro.sql.printer import to_sql
 
 
 class ScriptedModel(TranslationModel):
@@ -461,3 +466,132 @@ class TestCliServe(object):
         written = json.loads(stats_path.read_text())
         assert written["requests_total"] == 1
         assert written["breaker"]["state"] in ("closed", "open", "half_open")
+
+
+# ----------------------------------------------------------------------
+# Execution path: query() runs on DBPal.execute
+# ----------------------------------------------------------------------
+
+class RecordingAdapter(MemoryAdapter):
+    """A memory backend that remembers every query it executed."""
+
+    def __init__(self, source) -> None:
+        super().__init__(source)
+        self.executed: list[str] = []
+
+    def execute(self, query, max_rows=None):
+        self.executed.append(to_sql(query))
+        return super().execute(query, max_rows=max_rows)
+
+
+class GoldModel(TranslationModel):
+    """Answers each known model input with its item's gold SQL."""
+
+    def __init__(self, answers: dict[str, str]) -> None:
+        self.answers = answers
+
+    def fit(self, pairs, **kwargs):
+        pass
+
+    def translate(self, nl):
+        return self.answers.get(nl)
+
+
+def _ground(nl: str, database) -> str:
+    """Replace each ``@NAME`` token by a value of the column it names."""
+    tokens = nl.split()
+    for position, token in enumerate(tokens):
+        if not token.startswith("@") or len(token) < 2:
+            continue
+        column = token[1:].lower().split(".")[-1]
+        owners = database.schema.tables_with_column(column)
+        values = database.column_values(owners[0].name, column) if owners else []
+        values = [v for v in values if v is not None]
+        tokens[position] = str(values[len(values) // 2]) if values else "3"
+    return " ".join(tokens)
+
+
+def _served_rows(database, items, backend):
+    """(served SQL, served rows or error class, oracle rows or error class)."""
+    nlidb = DBPal(database, backend=backend)
+    questions = [_ground(item.nl, database) for item in items]
+    answers: dict[str, str] = {}
+    for question, item in zip(questions, items):
+        model_input = nlidb.preprocessor.preprocess(question).model_input
+        answers.setdefault(model_input, item.sql_text)
+    nlidb.model = GoldModel(answers)
+
+    def outcome(run):
+        try:
+            return run()
+        except ReproError as error:
+            return type(error).__name__
+
+    results = []
+    with TranslationService(nlidb, ServingConfig(workers=1)) as service:
+        for question in questions:
+            response = service.translate(question)
+            if not response.ok:
+                with pytest.raises(TranslationError):
+                    service.query(question)
+                continue
+            served = response.result.query
+            results.append(
+                (
+                    to_sql(served),
+                    outcome(lambda: service.query(question)),
+                    outcome(lambda: execute(served, database)),
+                )
+            )
+    return results
+
+
+class TestExecutionPath:
+    def test_query_executes_through_configured_backend(self, patients_db):
+        backend = RecordingAdapter(patients_db)
+        nlidb = DBPal(patients_db, ScriptedModel(), backend=backend)
+        with TranslationService(nlidb, ServingConfig(workers=1)) as service:
+            rows = service.query(QUESTIONS[1])
+        assert backend.executed == ["SELECT COUNT(*) FROM patients"]
+        assert rows == normalize_rows(
+            execute(nlidb.translate(QUESTIONS[1]).query, patients_db)
+        )
+
+    def test_default_query_runs_on_the_planned_session(self, patients_db):
+        service, _model = make_service(patients_db)
+        with service:
+            service.query(QUESTIONS[1])
+            service.query(QUESTIONS[1])
+        session = service.nlidb.executor
+        assert (session.cache_misses, session.cache_hits) == (1, 1)
+
+    @pytest.mark.parametrize("backend", [None, "sqlite"])
+    def test_patients_rows_match_the_oracle(self, patients_db, backend):
+        from repro.bench.patients import build_patients_benchmark
+
+        self._check(patients_db, list(build_patients_benchmark()), backend)
+
+    @pytest.mark.parametrize("backend", [None, "sqlite"])
+    def test_spider_substitute_rows_match_the_oracle(self, backend):
+        from repro.bench.spider import spider_test_workload
+        from repro.db import populate
+        from repro.schema import load_schema
+
+        workload = spider_test_workload()
+        for schema_name in dict.fromkeys(item.schema_name for item in workload):
+            database = populate(load_schema(schema_name), rows_per_table=20, seed=3)
+            self._check(database, list(workload.by_schema(schema_name)), backend)
+
+    @staticmethod
+    def _check(database, items, backend):
+        results = _served_rows(database, items, backend)
+        answered = [r for r in results if isinstance(r[1], list)]
+        assert len(answered) >= len(items) // 2
+        assert any(rows for _sql, rows, _oracle in answered)
+        for sql, rows, oracle in results:
+            if backend is None:
+                assert rows == oracle, sql
+            elif isinstance(oracle, list):
+                assert rows == normalize_rows(oracle), sql
+            else:  # engines name the failure differently; both must fail
+                assert isinstance(rows, str), sql
