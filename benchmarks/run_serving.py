@@ -280,7 +280,7 @@ def run_benchmark(
 
     nlidb = build_nlidb(size_slotfills)
     questions = build_workload(nlidb.database, requests)
-    config = ServingConfig(workers=2, batch_window=0.002, request_timeout=30.0)
+    config = ServingConfig(workers=2, request_timeout=30.0)
 
     naive = run_naive(nlidb, questions)
     closed = run_serving_closed(nlidb, questions, clients, config)

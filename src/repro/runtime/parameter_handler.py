@@ -56,6 +56,7 @@ class ParameterHandler:
         self.index = value_index or ValueIndex(
             database, similarity_threshold=similarity_threshold
         )
+        self._schema_words = schema_words(database)
 
     # ------------------------------------------------------------------
 
@@ -131,8 +132,7 @@ class ParameterHandler:
                 hits = [
                     h for h in self.index.fuzzy_lookup(phrase) if h.score >= 0.55
                 ]
-            hits = [h for h in hits if not _is_schema_word(phrase, self.database)]
-            if hits:
+            if hits and phrase.lower() not in self._schema_words:
                 hit = hits[0]
                 return (
                     Binding(
@@ -180,17 +180,16 @@ def _as_number(token: str) -> int | float | None:
             return None
 
 
-def _is_schema_word(phrase: str, database: Database) -> bool:
-    """Schema-element names should stay words, not become constants.
+def schema_words(database: Database) -> frozenset[str]:
+    """Lower-cased NL phrases of every table and column of ``database``.
 
+    Schema-element names should stay words, not become constants:
     "show me the names of patients" must not anonymize "patients" just
     because some text column happens to contain that string.
     """
-    phrase = phrase.lower()
-    for table in database.schema.tables:
-        if phrase in (p.lower() for p in table.nl_phrases):
-            return True
-        for column in table.columns:
-            if phrase in (p.lower() for p in column.nl_phrases):
-                return True
-    return False
+    return frozenset(
+        phrase.lower()
+        for table in database.schema.tables
+        for element in (table, *table.columns)
+        for phrase in element.nl_phrases
+    )

@@ -1,11 +1,12 @@
 """Admission queue + worker pool with micro-batching.
 
 Requests enter a bounded queue; worker threads drain it in *micro
-batches*: after the first request of a batch arrives, a worker keeps
-gathering until either ``max_batch_size`` requests are in hand or
-``batch_window`` seconds have passed, then hands the whole batch to the
-processing callback (which calls
-:meth:`~repro.neural.base.TranslationModel.translate_batch` once).
+batches*: a worker blocks for the first request of a batch, then takes
+whatever else is already queued, up to ``max_batch_size``, without
+waiting for more, and hands the whole batch to the processing callback
+(which calls :meth:`~repro.neural.base.TranslationModel.translate_batch`
+once).  A lone request therefore never waits for company; under load,
+requests queue up while the model runs, so batches still form.
 
 The batcher is deliberately policy-free: caching, single-flight
 coalescing, circuit breaking, and fallbacks all live in
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,13 +50,11 @@ class MicroBatcher:
         process_batch: Callable[[list[BatchRequest]], None],
         workers: int = 2,
         max_batch_size: int = 8,
-        batch_window: float = 0.004,
         queue_capacity: int = 256,
     ) -> None:
         self._process_batch = process_batch
         self._workers_n = workers
         self._max_batch = max_batch_size
-        self._window = batch_window
         self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
@@ -117,7 +115,7 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _gather_batch(self) -> list[BatchRequest] | None:
-        """Block for one request, then fill a batch within the window.
+        """Block for one request, then add the requests already queued.
 
         Returns ``None`` when a stop sentinel arrives with no batch in
         progress; a sentinel arriving mid-gather is re-queued so sibling
@@ -127,13 +125,9 @@ class MicroBatcher:
         if first is _STOP:
             return None
         batch = [first]
-        deadline = time.monotonic() + self._window
         while len(batch) < self._max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP:

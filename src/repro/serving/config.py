@@ -24,9 +24,8 @@ class ServingConfig:
     max_batch_size:
         Upper bound on requests coalesced into one
         :meth:`~repro.neural.base.TranslationModel.translate_batch` call.
-    batch_window:
-        Seconds a worker waits to fill a batch after its first request
-        arrives (the latency/throughput trade-off knob).
+        A batch holds only requests already queued when a worker picks
+        up its first one; no worker waits for a batch to fill.
     queue_capacity:
         Admission-queue bound; requests beyond it are shed with a
         structured ``queue_full`` rejection. ``0`` means unbounded.
@@ -81,7 +80,6 @@ class ServingConfig:
 
     workers: int = 2
     max_batch_size: int = 8
-    batch_window: float = 0.004
     queue_capacity: int = 256
     request_timeout: float = 10.0
     rate_limit: float = 0.0
@@ -102,8 +100,6 @@ class ServingConfig:
             raise ServingError("workers must be >= 1")
         if self.max_batch_size < 1:
             raise ServingError("max_batch_size must be >= 1")
-        if self.batch_window < 0:
-            raise ServingError("batch_window must be >= 0")
         if self.queue_capacity < 0:
             raise ServingError("queue_capacity must be >= 0")
         if self.request_timeout <= 0:

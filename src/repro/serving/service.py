@@ -280,7 +280,6 @@ class TranslationService(ServingTier):
             self._process_batch,
             workers=cfg.workers,
             max_batch_size=cfg.max_batch_size,
-            batch_window=cfg.batch_window,
             queue_capacity=cfg.queue_capacity,
         )
         self._flights: dict[str, _Flight] = {}

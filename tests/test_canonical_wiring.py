@@ -54,9 +54,7 @@ class ParaphraseModel(TranslationModel):
 
 
 def _service(patients_db, model, **overrides):
-    config = ServingConfig(
-        workers=2, batch_window=0.002, request_timeout=10.0, **overrides
-    )
+    config = ServingConfig(workers=2, request_timeout=10.0, **overrides)
     return TranslationService(DBPal(patients_db, model), config)
 
 

@@ -125,7 +125,7 @@ class TestServingFailureInjection:
 
         nlidb = DBPal(retrieval_nlidb.database, model)
         defaults = dict(
-            workers=1, batch_window=0.0, request_timeout=5.0,
+            workers=1, request_timeout=5.0,
             failure_threshold=2, cooldown=0.1,
         )
         defaults.update(knobs)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.db import Database
 from repro.runtime import ParameterHandler
+from repro.runtime.parameter_handler import schema_words
+from repro.schema import all_schemas
 
 
 @pytest.fixture()
@@ -79,3 +82,36 @@ class TestPreAnonymizedInput:
         age = patients_db.rows("patients")[0]["age"]
         result = handler.anonymize(f"patients with age {age} and diagnosis @DIAGNOSIS")
         assert "@AGE" in result.nl and "@DIAGNOSIS" in result.nl
+
+
+def _walk_is_schema_word(phrase, database):
+    """Reference: walk the schema for one phrase (``schema_words`` precomputes it)."""
+    phrase = phrase.lower()
+    for table in database.schema.tables:
+        if phrase in (p.lower() for p in table.nl_phrases):
+            return True
+        for column in table.columns:
+            if phrase in (p.lower() for p in column.nl_phrases):
+                return True
+    return False
+
+
+def test_schema_word_set_matches_schema_walk():
+    schemas = all_schemas()
+    probes = {
+        probe
+        for schema in schemas
+        for table in schema.tables
+        for element in (table, *table.columns)
+        for phrase in (element.name, *element.nl_phrases)
+        for probe in (phrase, phrase.upper(), phrase.title())
+    }
+    for schema in schemas:
+        database = Database(schema)
+        words = ParameterHandler(database)._schema_words
+        assert words == schema_words(database)
+        for probe in probes:
+            assert (probe.lower() in words) == _walk_is_schema_word(probe, database), (
+                schema.name,
+                probe,
+            )

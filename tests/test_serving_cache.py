@@ -51,7 +51,7 @@ class CountingModel(TranslationModel):
 def counting_service(patients_db):
     model = CountingModel()
     nlidb = DBPal(patients_db, model)
-    config = ServingConfig(workers=2, batch_window=0.002, request_timeout=10.0)
+    config = ServingConfig(workers=2, request_timeout=10.0)
     with TranslationService(nlidb, config) as service:
         yield service, model
 
@@ -98,7 +98,7 @@ class TestSingleFlight:
     def test_concurrent_identical_burst_costs_one_model_call(self, patients_db):
         model = CountingModel(delay=0.05)  # widen the race window
         nlidb = DBPal(patients_db, model)
-        config = ServingConfig(workers=4, batch_window=0.002, request_timeout=10.0)
+        config = ServingConfig(workers=4, request_timeout=10.0)
         with TranslationService(nlidb, config) as service:
             barrier = threading.Barrier(8)
             responses = []

@@ -3,6 +3,7 @@
 Everything time-dependent is driven by a fake clock — no sleeps.
 """
 
+import queue
 import threading
 
 import pytest
@@ -37,14 +38,13 @@ class TestServingConfig:
     def test_defaults_valid(self):
         config = ServingConfig()
         assert config.workers >= 1
-        assert set(config.to_dict()) >= {"workers", "batch_window", "cache_ttl"}
+        assert set(config.to_dict()) >= {"workers", "max_batch_size", "cache_ttl"}
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 0},
             {"max_batch_size": 0},
-            {"batch_window": -0.1},
             {"queue_capacity": -1},
             {"request_timeout": 0},
             {"rate_limit": -1.0},
@@ -220,28 +220,46 @@ class TestMicroBatcher:
             if sum(len(b) for b in seen) >= 10:
                 done.set()
 
-        batcher = MicroBatcher(
-            process, workers=1, max_batch_size=4, batch_window=0.05
-        )
+        batcher = MicroBatcher(process, workers=1, max_batch_size=4)
+        # Queue everything before the worker starts, so batches form
+        # from what is already waiting, not from timing.
+        requests = [BatchRequest(key=f"q{i}", model_input=f"q{i}") for i in range(10)]
+        for request in requests:
+            batcher._queue.put(request)
         batcher.start()
         try:
-            requests = [BatchRequest(key=f"q{i}", model_input=f"q{i}") for i in range(10)]
-            for request in requests:
-                assert batcher.submit(request)
             done.wait(timeout=5.0)
             results = [r.future.result(timeout=5.0) for r in requests]
         finally:
             batcher.stop()
         assert [value for _status, value in results] == [f"Q{i}" for i in range(10)]
         assert max(len(batch) for batch in seen) <= 4
-        # The window coalesced at least one multi-request batch.
+        # The queued requests coalesced into at least one multi-request batch.
         assert any(len(batch) > 1 for batch in seen)
+
+    def test_lone_request_is_not_held_for_a_batch(self):
+        class RecordingQueue(queue.Queue):
+            def __init__(self) -> None:
+                super().__init__()
+                self.timed_gets: list[float] = []
+
+            def get(self, block=True, timeout=None):
+                if timeout is not None:
+                    self.timed_gets.append(timeout)
+                return super().get(block, timeout)
+
+        batcher = MicroBatcher(lambda batch: None, workers=1, max_batch_size=8)
+        batcher._queue = RecordingQueue()
+        request = BatchRequest(key="k", model_input="k")
+        batcher._queue.put(request)
+        assert batcher._gather_batch() == [request]
+        assert batcher._queue.timed_gets == []
 
     def test_crashing_callback_resolves_futures(self):
         def process(batch):
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(process, workers=1, max_batch_size=2, batch_window=0.0)
+        batcher = MicroBatcher(process, workers=1, max_batch_size=2)
         batcher.start()
         try:
             request = BatchRequest(key="k", model_input="k")
@@ -259,9 +277,7 @@ class TestMicroBatcher:
             for request in batch:
                 request.future.set_result(("model_ok", None))
 
-        batcher = MicroBatcher(
-            process, workers=1, max_batch_size=1, batch_window=0.0, queue_capacity=1
-        )
+        batcher = MicroBatcher(process, workers=1, max_batch_size=1, queue_capacity=1)
         batcher.start()
         try:
             first = BatchRequest(key="a", model_input="a")

@@ -296,7 +296,7 @@ class ScriptedModel(TranslationModel):
 
 def make_service(patients_db, sql="SELECT COUNT(*) FROM patients", **config_kwargs):
     model = ScriptedModel(sql)
-    defaults = dict(workers=2, batch_window=0.002, request_timeout=5.0)
+    defaults = dict(workers=2, request_timeout=5.0)
     defaults.update(config_kwargs)
     service = TranslationService(DBPal(patients_db, model), ServingConfig(**defaults))
     return service, model
@@ -400,7 +400,7 @@ class TestServiceIntegration:
         faults = RepairFaultPlan((RepairFaultSpec(ADAPTER_CRASH, attempts=5),))
         service = Svc(
             DBPal(patients_db, model),
-            ServingConfig(workers=2, batch_window=0.002),
+            ServingConfig(workers=2),
             repair_faults=faults,
         )
         with service:

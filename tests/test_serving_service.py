@@ -47,7 +47,7 @@ class ScriptedModel(TranslationModel):
 
 def make_service(patients_db, **config_kwargs) -> tuple[TranslationService, ScriptedModel]:
     model = ScriptedModel()
-    defaults = dict(workers=2, batch_window=0.002, request_timeout=5.0)
+    defaults = dict(workers=2, request_timeout=5.0)
     defaults.update(config_kwargs)
     service = TranslationService(
         DBPal(patients_db, model), ServingConfig(**defaults)

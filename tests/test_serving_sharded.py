@@ -100,7 +100,7 @@ def _make_v2_model() -> _ConstModel:
 
 
 def _spec(retrieval_nlidb, **config_kwargs) -> ShardSpec:
-    defaults = dict(workers=2, batch_window=0.002, request_timeout=15.0)
+    defaults = dict(workers=2, request_timeout=15.0)
     defaults.update(config_kwargs)
     return ShardSpec(
         _prebuilt, (retrieval_nlidb,), config=ServingConfig(**defaults)
