@@ -11,8 +11,6 @@ join templates.  Findings use the ``L4xx`` code range.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.schema.schema import Schema
 
@@ -63,6 +61,8 @@ def lint_schema(schema: Schema) -> list[Diagnostic]:
                 )
 
     if len(schema.tables) > 1:
+        import networkx as nx
+
         components = list(nx.connected_components(schema.join_graph))
         if len(components) > 1:
             main = max(components, key=len)

@@ -84,7 +84,7 @@ from repro.sql.ast import (
     conjuncts,
 )
 from repro.sql.canonical import canonical_sql
-from repro.sql.printer import predicate_to_sql
+from repro.sql.printer import predicate_to_sql, to_sql
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +556,10 @@ class ExecutorSession:
         self._cache: OrderedDict[tuple, list[Row]] = OrderedDict()
         # Guards the cache and its counters; never held while executing.
         self._cache_lock = threading.Lock()
+        # Printed SQL -> canonical_sql, bounded like ``_cache``.  Pure, so
+        # data-version resets keep it; keyed on text because literals
+        # ``5`` and ``5.0`` compare equal as AST nodes but print apart.
+        self._canonical: OrderedDict[str, str] = OrderedDict()
         self._eq_indexes: dict[tuple[str, str], dict[Any, list[Row]]] = {}
         self._db_version = database.version
         self.cache_hits = 0
@@ -595,7 +599,7 @@ class ExecutorSession:
         key = None
         if use_cache and self._cache_size > 0:
             key = (
-                canonical_sql(query),
+                self._canonical_sql(query),
                 tuple(str(item) for item in query.select),
                 tuple(query.from_tables),
             )
@@ -615,6 +619,20 @@ class ExecutorSession:
                         self._cache.popitem(last=False)
         copied = [dict(row) for row in rows]
         return copied[:max_rows] if max_rows is not None else copied
+
+    def _canonical_sql(self, query: Query) -> str:
+        text = to_sql(query)
+        with self._cache_lock:
+            canonical = self._canonical.get(text)
+            if canonical is not None:
+                self._canonical.move_to_end(text)
+        if canonical is None:
+            canonical = canonical_sql(query)
+            with self._cache_lock:
+                self._canonical[text] = canonical
+                while len(self._canonical) > self._cache_size:
+                    self._canonical.popitem(last=False)
+        return canonical
 
     def note_columnar(self, trace: ColumnarTrace) -> None:
         """Fold one columnar execution's arm decisions into the session."""

@@ -16,8 +16,6 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 
 class WordEmbeddings:
@@ -45,6 +43,11 @@ class WordEmbeddings:
         Words rarer than ``min_count`` are dropped (callers should map
         them to zero vectors via :meth:`vector`).
         """
+        # Imported here: scipy adds ~30 MB of resident memory to any
+        # process that imports it, and only fitting needs it.
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import svds
+
         sentences = [list(s) for s in sentences]
         counts = Counter(t for s in sentences for t in s)
         vocab = sorted(t for t, c in counts.items() if c >= min_count)

@@ -30,7 +30,7 @@ def tokenize(text: str) -> list[str]:
     for match in _TOKEN_RE.finditer(text):
         token = match.group(0)
         if token.startswith("@"):
-            tokens.append(token.upper().replace("@", "@", 1))
+            tokens.append(token.upper())
         else:
             tokens.append(token.lower())
     return tokens

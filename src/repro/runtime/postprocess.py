@@ -18,6 +18,7 @@ Three repairs turn raw model output into executable SQL:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
+from functools import lru_cache
 
 from repro.errors import SchemaError
 from repro.runtime.parameter_handler import Binding
@@ -58,6 +59,15 @@ class PostProcessor:
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        # The result is a pure function of the SQL text and the bindings,
+        # so a repeated answer is parsed and repaired once.  The key holds
+        # each value's type: ``5`` and ``5.0`` compare and hash equal, yet
+        # print differently, so no key may rest on value (or AST) equality.
+        self._memo = lru_cache(maxsize=4096)(self._process)
+
+    def __reduce__(self):
+        # The memo wraps a bound method, which pickle cannot store.
+        return type(self), (self.schema,)
 
     # ------------------------------------------------------------------
 
@@ -67,6 +77,16 @@ class PostProcessor:
         """Parse, repair, and bind one model output (None if unparseable)."""
         if not sql_text:
             return None
+        key = tuple(
+            (b.placeholder, type(b.value), b.value, b.table, b.column)
+            for b in bindings
+        )
+        memo = self._memo(sql_text, key)
+        return None if memo is None else ProcessedQuery(*memo)
+
+    def _process(
+        self, sql_text: str, key: tuple
+    ) -> tuple[Query, str, bool] | None:
         query = try_parse(sql_text)
         if query is None:
             return None
@@ -79,9 +99,10 @@ class PostProcessor:
         except SchemaError:
             # Unrepairable table references: keep the parsed query as-is.
             pass
-        if bindings:
-            query = _restore_placeholders(query, list(bindings))
-        return ProcessedQuery(query=query, sql=to_sql(query), repaired=repaired)
+        if key:
+            bindings = [Binding(p, v, t, c) for p, _, v, t, c in key]
+            query = _restore_placeholders(query, bindings)
+        return query, to_sql(query), repaired
 
     # ------------------------------------------------------------------
     # @JOIN expansion (§5.1)

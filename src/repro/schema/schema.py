@@ -14,12 +14,14 @@ reasoning the paper relies on:
 from __future__ import annotations
 
 import itertools
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import SchemaError
 from repro.schema.column import Column
 from repro.schema.table import ForeignKey, Table
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Schema:
@@ -56,7 +58,7 @@ class Schema:
                     raise SchemaError(f"foreign key {fk} references unknown table {tbl!r}")
                 if col not in self._by_name[tbl]:
                     raise SchemaError(f"foreign key {fk} references unknown column {col!r}")
-        self._join_graph = self._build_join_graph()
+        self._adjacency = self._build_adjacency()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -103,18 +105,37 @@ class Schema:
     # Join graph
     # ------------------------------------------------------------------
 
-    def _build_join_graph(self) -> nx.Graph:
+    def _build_adjacency(self) -> dict[str, dict[str, ForeignKey]]:
+        """Undirected table adjacency, in ``networkx.Graph`` order.
+
+        Neighbours appear in first-FK order; a pair joined by several
+        FKs keeps its first position and its last FK, as
+        ``Graph.add_edge`` does.
+        """
+        adjacency: dict[str, dict[str, ForeignKey]] = {
+            name: {} for name in self.table_names
+        }
+        for fk in self.foreign_keys:
+            # Keep the FK on the edge so join conditions can be recovered.
+            adjacency[fk.table][fk.ref_table] = fk
+            adjacency[fk.ref_table][fk.table] = fk
+        return adjacency
+
+    @property
+    def join_graph(self) -> "nx.Graph":
+        """The undirected join graph as a fresh ``networkx.Graph``.
+
+        Nodes are tables; each edge carries its foreign key as ``fk``.
+        Built on access so that networkx is imported only by callers
+        that need graph algorithms.
+        """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.table_names)
         for fk in self.foreign_keys:
-            # Keep the FK on the edge so join conditions can be recovered.
             graph.add_edge(fk.table, fk.ref_table, fk=fk)
         return graph
-
-    @property
-    def join_graph(self) -> nx.Graph:
-        """The undirected join graph (read-only by convention)."""
-        return self._join_graph
 
     def join_path(self, tables: list[str] | tuple[str, ...]) -> list[ForeignKey]:
         """Shortest join path connecting all ``tables``.
@@ -147,7 +168,7 @@ class Schema:
                 key = frozenset((left, right))
                 if key not in seen_edges:
                     seen_edges.add(key)
-                    edges.append(self._join_graph.edges[left, right]["fk"])
+                    edges.append(self._adjacency[left][right])
             connected.update(path)
         return edges
 
@@ -155,11 +176,8 @@ class Schema:
         """Shortest path from ``source`` to any node in ``targets``."""
         best: list[str] | None = None
         for target in sorted(targets):
-            try:
-                path = nx.shortest_path(self._join_graph, source, target)
-            except nx.NetworkXNoPath:
-                continue
-            if best is None or len(path) < len(best):
+            path = self._shortest_path(source, target)
+            if path is not None and (best is None or len(path) < len(best)):
                 best = path
         if best is None:
             raise SchemaError(
@@ -167,6 +185,26 @@ class Schema:
                 f"in schema {self.name!r}"
             )
         return best
+
+    def _shortest_path(self, source: str, target: str) -> list[str] | None:
+        """Shortest path from ``source`` to ``target``, or None."""
+        if source == target:
+            return [source]
+        found = _bidirectional_bfs(self._adjacency, source, target)
+        if found is None:
+            return None
+        pred, succ, meet = found
+        path: list[str] = []
+        node: str | None = meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[meet]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
 
     def join_tables(self, tables: list[str] | tuple[str, ...]) -> list[str]:
         """All tables on the join path (endpoints plus intermediates)."""
@@ -176,3 +214,36 @@ class Schema:
                 if name not in names:
                     names.append(name)
         return names
+
+
+def _bidirectional_bfs(adjacency: dict[str, dict], source: str, target: str):
+    """``(pred, succ, meeting node)`` of a BFS from both ends, or None.
+
+    The search of ``networkx.shortest_path`` on an undirected graph:
+    expand the smaller fringe (the forward one on a tie) and stop at the
+    first node both searches have reached.  Over the same neighbour
+    order it returns the same path among equally short ones.
+    """
+    pred: dict[str, str | None] = {source: None}
+    succ: dict[str, str | None] = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for node in level:
+                for other in adjacency[node]:
+                    if other not in pred:
+                        forward.append(other)
+                        pred[other] = node
+                    if other in succ:
+                        return pred, succ, other
+        else:
+            level, reverse = reverse, []
+            for node in level:
+                for other in adjacency[node]:
+                    if other not in succ:
+                        succ[other] = node
+                        reverse.append(other)
+                    if other in pred:
+                        return pred, succ, other
+    return None

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, FixHint, Severity
@@ -108,6 +109,8 @@ _VERDICT_RANK = {EXEC_OK: 0, EXEC_EMPTY: 1, EXEC_TIMEOUT: 2, EXEC_ERROR: 3}
 _SIMILARITY_FLOOR = 0.3
 #: Second-best candidates within this margin spawn an alternate variant.
 _ALTERNATE_MARGIN = 0.15
+#: Distinct lint-clean candidates remembered per pipeline.
+_CLEAN_MEMO_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -810,6 +813,11 @@ class RepairPipeline:
         self._clock = clock
         self._runs = 0
         self._lock = threading.Lock()
+        # Printed SQL of candidates already linted clean (bounded LRU,
+        # guarded by ``_lock``).  Keyed on text, not the AST: literals
+        # ``5`` and ``5.0`` compare and hash equal, so an AST key could
+        # hand one query the other's verdict.
+        self._clean_sql: OrderedDict[str, None] = OrderedDict()
         if bind is None:
             from repro.runtime.postprocess import restore_placeholders
 
@@ -868,6 +876,33 @@ class RepairPipeline:
         )
         return errors
 
+    def _lint_memoized(
+        self,
+        query: Query,
+        sql: str,
+        location: str,
+        meter: _BudgetClock,
+        trace: RepairTrace,
+    ):
+        """:meth:`_lint`, answered from the clean-verdict memo on a hit."""
+        t0 = self._clock()
+        with self._lock:
+            hit = sql in self._clean_sql
+            if hit:
+                self._clean_sql.move_to_end(sql)
+        if hit:
+            dt = self._clock() - t0
+            meter.charge(dt)
+            trace.step("verify", "lint", detail="0 error(s)", seconds=dt)
+            return []
+        errors = self._lint(query, location, meter, trace)
+        if not errors:
+            with self._lock:
+                self._clean_sql[sql] = None
+                if len(self._clean_sql) > _CLEAN_MEMO_SIZE:
+                    self._clean_sql.popitem(last=False)
+        return errors
+
     def _run(
         self,
         query: Query,
@@ -877,10 +912,11 @@ class RepairPipeline:
         trace: RepairTrace,
         meter: _BudgetClock,
     ) -> RepairReport:
-        errors = self._lint(query, location, meter, trace)
+        sql = to_sql(query)
+        errors = self._lint_memoized(query, sql, location, meter, trace)
         if not errors:
             trace.outcome = CLEAN
-            return RepairReport(query, to_sql(query), CLEAN, False, trace)
+            return RepairReport(query, sql, CLEAN, False, trace)
 
         current, current_errors = query, errors
         carried: list[RepairEdit] = []

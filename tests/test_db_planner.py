@@ -14,6 +14,7 @@ from repro.db.planner import (
     explain,
 )
 from repro.errors import ExecutionError
+from repro.sql.canonical import canonical_sql
 from repro.sql.parser import parse
 
 
@@ -239,6 +240,48 @@ def test_session_cache_hit_keeps_the_querys_own_labels(patients_db, first, secon
     for sql in (first, second):
         query = parse(sql)
         assert session.execute(query) == execute(query, patients_db)
+
+
+def _ordered(rows):
+    """Rows with their column order, which dict equality ignores."""
+    return [list(row.items()) for row in rows]
+
+
+def test_canonical_memo_hit_keeps_the_querys_own_labels_and_from_order(retail_db):
+    pairs = [
+        (
+            "SELECT * FROM customer, orders "
+            "WHERE customer.customer_id = orders.customer_id",
+            "SELECT * FROM orders, customer "
+            "WHERE orders.customer_id = customer.customer_id",
+        ),
+        (
+            "SELECT customer.name, customer.age FROM customer WHERE customer.age > 30",
+            "SELECT name, age FROM customer WHERE 30 < age",
+        ),
+    ]
+    session = ExecutorSession(retail_db)
+    for first, second in pairs:
+        assert canonical_sql(parse(first)) == canonical_sql(parse(second))
+        # The second round takes every canonical key from the memo.
+        for sql in (first, second, first, second):
+            query = parse(sql)
+            assert _ordered(session.execute(query)) == _ordered(
+                execute(query, retail_db)
+            )
+    assert len(session._canonical) == 4
+
+
+def test_canonical_memo_keys_int_and_float_literals_apart(patients_db):
+    session = ExecutorSession(patients_db)
+    texts = (
+        "SELECT name FROM patients WHERE age = 5",
+        "SELECT name FROM patients WHERE age = 5.0",
+    )
+    assert parse(texts[0]) == parse(texts[1])  # AST equality cannot tell
+    for sql in texts:
+        session.execute(parse(sql))
+    assert list(session._canonical) == list(texts)
 
 
 def test_session_cache_is_thread_safe(retail_db):

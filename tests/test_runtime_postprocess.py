@@ -226,3 +226,103 @@ class TestRestorePlaceholders:
             ],
         )
         assert to_sql(restored) == "SELECT name FROM patients WHERE age > 55"
+
+
+# ----------------------------------------------------------------------
+# The memo: a repeated (SQL text, bindings) is post-processed once
+# ----------------------------------------------------------------------
+
+
+def _served_pairs(nlidb, questions):
+    """``(model output, bindings)`` as the serving path passes them in."""
+    pairs = []
+    for nl in questions:
+        pre = nlidb.preprocessor.preprocess(nl)
+        pairs.append((nlidb.model.translate(pre.model_input), pre.bindings))
+    return pairs
+
+
+def _fields(processed):
+    if processed is None:
+        return None
+    # repr, not ==: AST equality cannot tell the literal 5 from 5.0.
+    return repr(processed.query), processed.sql, processed.repaired
+
+
+def _assert_memo_exact(nlidb, questions):
+    """Memoized ``process`` equals a fresh post-processor on every output.
+
+    The outputs are every answer the model gives the questions plus
+    every SQL text it can return (its training pairs), each with the
+    question's bindings (a memo hit on repeat), another question's
+    bindings and none.
+    """
+    schema = nlidb.database.schema
+    pairs = _served_pairs(nlidb, questions)
+    trained = dict.fromkeys(sql for _nl, sql in nlidb.model._examples)
+    cases = [(sql, bindings) for sql, bindings in pairs]
+    cases += [(sql, pairs[i % len(pairs)][1]) for i, sql in enumerate(trained)]
+    memo = PostProcessor(schema)
+    for i, (sql, bindings) in enumerate(cases):
+        other = pairs[(i + 1) % len(pairs)][1]
+        for use in (bindings, bindings, other, (), bindings):
+            expected = _fields(PostProcessor(schema).process(sql, use))
+            assert _fields(memo.process(sql, use)) == expected, (sql, use)
+    assert memo._memo.cache_info().hits >= len(cases)
+
+
+def test_memo_exact_on_patients_corpus(retrieval_nlidb):
+    from repro.bench import build_patients_benchmark
+
+    questions = [item.nl for item in build_patients_benchmark().items]
+    _assert_memo_exact(retrieval_nlidb, questions)
+
+
+def test_memo_exact_on_spider_corpus():
+    from repro.bench import spider_test_workload
+    from repro.bench.spider import spider_schemas
+    from repro.core import GenerationConfig
+    from repro.db import populate
+    from repro.neural import RetrievalModel
+    from repro.runtime import DBPal
+
+    workload = spider_test_workload()
+    for schema in spider_schemas()[1]:
+        nlidb = DBPal(populate(schema, rows_per_table=20, seed=7))
+        nlidb.train(RetrievalModel(), config=GenerationConfig(size_slotfills=2), seed=0)
+        questions = [i.nl for i in workload.items if i.schema_name == schema.name]
+        assert questions
+        _assert_memo_exact(nlidb, questions)
+
+
+def test_binding_value_type_is_part_of_the_key(patients_post):
+    sql = "SELECT name FROM patients WHERE age = @AGE"
+    printed = [
+        patients_post.process(sql, [Binding("AGE", value, "patients", "age")]).sql
+        for value in (5, 5.0, "5")
+    ]
+    assert printed == [
+        "SELECT name FROM patients WHERE age = 5",
+        "SELECT name FROM patients WHERE age = 5.0",
+        "SELECT name FROM patients WHERE age = '5'",
+    ]
+    # AST equality cannot tell 5 from 5.0, hence the typed key.
+    assert parse(printed[0]) == parse(printed[1])
+
+
+def test_each_call_gets_its_own_result(patients_post):
+    sql = "SELECT name FROM patients WHERE age = @AGE"
+    bindings = [Binding("AGE", 30, "patients", "age")]
+    first = patients_post.process(sql, bindings)
+    first.sql = "mutated by a caller"
+    assert patients_post.process(sql, bindings).sql.endswith("age = 30")
+
+
+def test_pickles_without_its_memo(patients_post):
+    import pickle
+
+    sql = "SELECT name FROM patients WHERE age = @AGE"
+    bindings = [Binding("AGE", 30, "patients", "age")]
+    expected = _fields(patients_post.process(sql, bindings))
+    copy = pickle.loads(pickle.dumps(patients_post))
+    assert _fields(copy.process(sql, bindings)) == expected

@@ -21,11 +21,18 @@ layering rules:
   runs through ``DBPal.execute`` (the configured backend, else the
   planned session); :func:`repro.db.executor.execute` is the
   differential-test oracle only.
+* **no module-level ``scipy`` or ``networkx`` imports** — together they
+  are most of ``import repro``'s resident memory, and only
+  ``WordEmbeddings.fit`` and ``Schema.join_graph`` need them; import
+  them inside the function that uses them.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +159,84 @@ def test_no_naive_executor_on_runtime_paths():
     assert _findings(check, packages=("serving", "runtime")) == []
 
 
+HEAVY_MODULES = ("scipy", "networkx")
+
+
+def _heavy_import(node) -> str | None:
+    """The heavy module ``node`` imports, if it is an import of one."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return None
+    return next((n for n in names if n.split(".")[0] in HEAVY_MODULES), None)
+
+
+def _import_time_statements(body):
+    """Statements that run when the module is imported.
+
+    Function bodies run later, and ``if TYPE_CHECKING:`` blocks never.
+    """
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) in (
+            "TYPE_CHECKING",
+            "typing.TYPE_CHECKING",
+        ):
+            yield from _import_time_statements(stmt.orelse)
+            continue
+        yield stmt
+        for name in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(stmt, name, []))
+
+
+def _heavy_module_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return [
+        f"{stmt.lineno}: {module}"
+        for stmt in _import_time_statements(tree.body)
+        if (module := _heavy_import(stmt))
+    ]
+
+
+def test_no_module_level_heavy_imports():
+    findings = [
+        f"{path.relative_to(SRC_ROOT.parent)}:{finding} — import it where it is used"
+        for path in repro_modules()
+        for finding in _heavy_module_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert findings == []
+
+
+def test_serving_a_question_imports_neither_heavy_module():
+    script = """
+import sys
+from repro.core import GenerationConfig
+from repro.db import populate
+from repro.neural import RetrievalModel
+from repro.runtime import DBPal
+from repro.schema import patients_schema
+from repro.serving import TranslationService
+
+nlidb = DBPal(populate(patients_schema(), rows_per_table=20, seed=3))
+nlidb.train(RetrievalModel(), config=GenerationConfig(size_slotfills=2), seed=0)
+with TranslationService(nlidb) as service:
+    service.query("show me the names of all patients with age 80")
+print(sorted(m for m in ("scipy", "networkx") if m in sys.modules))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC_ROOT.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
 class TestLintRulesDetect:
     """The rules themselves must catch seeded defects (meta-mutation)."""
 
@@ -203,6 +288,23 @@ class TestLintRulesDetect:
     def test_naive_executor_import_rule(self, source, bad):
         node = ast.parse(source).body[0]
         assert _imports_naive_executor(node) is bad
+
+    @pytest.mark.parametrize(
+        "source, bad",
+        [
+            ("import scipy.sparse as sp\n", True),
+            ("from scipy.sparse.linalg import svds\n", True),
+            ("import networkx as nx\n", True),
+            ("try:\n    import networkx\nexcept ImportError:\n    pass\n", True),
+            ("class C:\n    import networkx\n", True),
+            ("def f():\n    import networkx as nx\n", False),
+            ("if TYPE_CHECKING:\n    import networkx as nx\n", False),
+            ("import numpy as np\n", False),
+            ("from .networkx import shim\n", False),
+        ],
+    )
+    def test_heavy_import_rule(self, source, bad):
+        assert bool(_heavy_module_imports(source)) is bad
 
     def test_wall_clock_rule(self):
         tree = ast.parse("import time\nt = time.time()\n")

@@ -149,6 +149,56 @@ class TestPipelineOutcomes:
         assert report.trace.to_dict()["outcome"] == "clean"
         assert report.trace.budget["attempts_used"] == 0
 
+    def test_clean_verdict_memo_replays_the_same_report(self, patients_db):
+        pipe = make_pipeline(patients_db)
+        query = parse("SELECT name FROM patients WHERE age > 30")
+        for _ in range(2):  # the second run takes the verdict from the memo
+            report = pipe.run(query)
+            assert (report.query, report.sql, report.outcome, report.verified) == (
+                query,
+                to_sql(query),
+                "clean",
+                False,
+            )
+            steps = [(s.stage, s.action, s.detail, s.codes) for s in report.trace.steps]
+            assert steps == [("verify", "lint", "0 error(s)", ())]
+            assert report.trace.budget["attempts_used"] == 0
+        assert list(pipe._clean_sql) == [to_sql(query)]
+
+    def test_only_clean_verdicts_are_memoized(self, patients_db):
+        pipe = make_pipeline(patients_db)
+        for _ in range(2):
+            report = pipe.run(parse("SELECT nmae FROM patients"))
+            assert report.outcome == "repaired"
+            assert report.trace.codes_tried == ["L102"]
+        assert list(pipe._clean_sql) == []
+
+    def test_clean_verdict_memo_is_thread_safe(self, patients_db):
+        import sys
+
+        queries = [parse(f"SELECT name FROM patients WHERE age > {a}") for a in range(5)]
+        pipe = make_pipeline(patients_db)
+        outcomes: list[str] = []
+
+        def worker(offset: int) -> None:
+            for i in range(50):
+                report = pipe.run(queries[(offset + i) % len(queries)])
+                outcomes.append(report.outcome)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == ["clean"] * 400
+        assert set(pipe._clean_sql) == {to_sql(q) for q in queries}
+
     def test_unknown_column_repaired_and_verified(self, patients_db):
         pipe = make_pipeline(patients_db)
         report = pipe.run(parse("SELECT nmae FROM patients"))
