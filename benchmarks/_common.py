@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from repro.bench import spider_schemas, spider_train_pairs
 from repro.core import GenerationConfig, TrainingPipeline
 from repro.neural import CrossDomainModel, SyntaxAwareModel
-from repro.nlp.lemmatizer import lemmatize
 from repro.schema import patients_schema
 
 PROFILE = os.environ.get("REPRO_PROFILE", "fast")
@@ -146,9 +145,7 @@ def manual_spider_pairs():
         raw = spider_train_pairs(
             pairs_per_schema=CURRENT.spider_pairs_per_schema, seed=100
         )
-        _CACHE["spider"] = [
-            p.with_nl(lemmatize(p.nl), p.augmentation) for p in raw
-        ]
+        _CACHE["spider"] = [p.lemmatized() for p in raw]
     return _CACHE["spider"]
 
 

@@ -64,10 +64,11 @@ SEED = 42
 
 def _clear_global_caches() -> None:
     """Reset process-wide caches so each timed arm starts cold."""
-    from repro.nlp.lemmatizer import lemmatize_word
+    from repro.nlp.lemmatizer import lemmatize_token, lemmatize_word
 
-    if hasattr(lemmatize_word, "cache_clear"):
-        lemmatize_word.cache_clear()
+    for cache in (lemmatize_word, lemmatize_token):
+        if hasattr(cache, "cache_clear"):
+            cache.cache_clear()
 
 
 def _pipeline(profile: dict) -> TrainingPipeline:

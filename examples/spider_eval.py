@@ -11,7 +11,6 @@ from repro.bench import spider_schemas, spider_test_workload, spider_train_pairs
 from repro.core import GenerationConfig, TrainingPipeline
 from repro.eval import evaluate, format_table
 from repro.neural import CrossDomainModel, SyntaxAwareModel
-from repro.nlp.lemmatizer import lemmatize
 from repro.sql.difficulty import DIFFICULTY_ORDER
 
 
@@ -32,8 +31,7 @@ def main() -> None:
 
     # The "manually annotated" training set (held-out phrasing style).
     spider = [
-        p.with_nl(lemmatize(p.nl), p.augmentation)
-        for p in spider_train_pairs(pairs_per_schema=150, seed=100)
+        p.lemmatized() for p in spider_train_pairs(pairs_per_schema=150, seed=100)
     ]
     workload = spider_test_workload(items_per_schema=24, seed=200)
     print(f"training set: {len(spider)} pairs over {[s.name for s in train_schemas]}")

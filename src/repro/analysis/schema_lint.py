@@ -61,9 +61,7 @@ def lint_schema(schema: Schema) -> list[Diagnostic]:
                 )
 
     if len(schema.tables) > 1:
-        import networkx as nx
-
-        components = list(nx.connected_components(schema.join_graph))
+        components = schema.join_components()
         if len(components) > 1:
             main = max(components, key=len)
             for component in components:

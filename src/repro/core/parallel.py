@@ -59,7 +59,6 @@ from repro.errors import (
     E_WORKER_DIED,
     GenerationError,
 )
-from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.ppdb import ParaphraseDatabase
 from repro.perf.instrumentation import StageTimer
 from repro.schema.schema import Schema
@@ -140,10 +139,7 @@ def synthesize_shard(
 
     with StageTimer() as timer:
         if state.apply_lemmatizer:
-            pairs = [
-                pair.with_nl(lemmatize(pair.nl), pair.augmentation)
-                for pair in pairs
-            ]
+            pairs = [pair.lemmatized() for pair in pairs]
             pairs = dedupe_pairs(pairs)
     timings["lemmatize"] = timer.seconds
     return pairs, timings

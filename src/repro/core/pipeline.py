@@ -22,7 +22,6 @@ from repro.errors import E_LINT, GenerationError
 from repro.core.parallel import SynthesisEngine
 from repro.core.seed_templates import SEED_TEMPLATES
 from repro.core.templates import SeedTemplate, TrainingPair
-from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.ppdb import ParaphraseDatabase
 from repro.schema.schema import Schema
 
@@ -257,10 +256,7 @@ class TrainingPipeline:
         """
         corpus = self.generate()
         manual = [
-            pair.with_nl(
-                lemmatize(pair.nl) if self._apply_lemmatizer else pair.nl,
-                pair.augmentation,
-            )
+            pair.lemmatized() if self._apply_lemmatizer else pair
             for pair in manual_pairs
         ]
         corpus = corpus.merged_with(manual)

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import TemplateError
+from repro.nlp.lemmatizer import lemmatize_tokens
+from repro.nlp.tokenizer import tokenize
 from repro.schema.column import Column
 from repro.schema.schema import Schema
 from repro.schema.table import Table
@@ -78,9 +80,12 @@ class TrainingPair:
     ``sql_text`` and ``key()`` are memoized: deduplication probes every
     pair's key several times along the pipeline (augment, lemmatize,
     merge), and printing the SQL AST on each probe dominated the
-    synthesis profile.  The cache lives in the instance ``__dict__``
-    (fields stay frozen) and survives pickling, so pairs returned by
-    parallel synthesis workers arrive with their SQL already printed.
+    synthesis profile.  ``tokens`` is memoized too: the lemmatize stage
+    stores the token list it already computed, so ``fit`` never
+    re-tokenizes the corpus.  The caches live in the instance
+    ``__dict__`` (fields stay frozen) and ``sql_text`` and ``tokens``
+    survive pickling, so pairs returned by parallel synthesis workers
+    arrive with both already computed.
     """
 
     nl: str
@@ -94,13 +99,41 @@ class TrainingPair:
     def sql_text(self) -> str:
         return to_sql(self.sql)
 
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """``tokenize(self.nl)`` (memoized)."""
+        return tuple(tokenize(self.nl))
+
     def with_nl(self, nl: str, augmentation: str) -> "TrainingPair":
-        """A copy with a linguistically varied NL side (same SQL)."""
-        clone = replace(self, nl=nl, augmentation=augmentation)
+        """A copy with a linguistically varied NL side (same SQL).
+
+        Builds the copy's ``__dict__`` directly: ``dataclasses.replace``
+        introspects the fields on every call, which showed in the
+        synthesis profile.
+        """
+        clone = object.__new__(TrainingPair)
+        state = clone.__dict__
+        state["nl"] = nl
+        state["sql"] = self.sql
+        state["template_id"] = self.template_id
+        state["family"] = self.family
+        state["schema_name"] = self.schema_name
+        state["augmentation"] = augmentation
         cached_sql = self.__dict__.get("sql_text")
         if cached_sql is not None:
             # Same AST, so the printed SQL carries over to the copy.
-            clone.__dict__["sql_text"] = cached_sql
+            state["sql_text"] = cached_sql
+        return clone
+
+    def lemmatized(self) -> "TrainingPair":
+        """A copy with the NL side lemmatized, its tokens memoized."""
+        tokens = tuple(lemmatize_tokens(tokenize(self.nl)))
+        clone = self.with_nl(" ".join(tokens), self.augmentation)
+        # Joined lemmas re-tokenize to themselves when the text is ASCII
+        # (property-tested); other text keeps ``tokens`` lazy, since
+        # ``str.lower`` may turn one character into several.
+        if clone.nl.isascii():
+            clone.__dict__["tokens"] = tokens
         return clone
 
     def key(self) -> tuple[str, str]:

@@ -8,9 +8,11 @@ baseline in the benchmarks — a neural model that cannot beat retrieval
 has learned nothing.
 
 Lookup goes through an inverted token index, exact top-1: ``fit``
-builds token → example-id posting lists, and ``translate`` counts
-``|q ∩ t|`` for every example by concatenating the query tokens'
-postings, so only examples sharing a token are ever touched.  The
+builds token → example-id posting lists from each pair's memoized
+``TrainingPair.tokens`` (kept by the lemmatize stage, so the corpus is
+tokenized once), and ``translate`` counts ``|q ∩ t|`` for every
+example by concatenating the query tokens' postings, so only examples
+sharing a token are ever touched.  The
 scores are the same int/int quotients as a scan over every pair, and
 ``argmax`` keeps the scan's first-example tie order.
 """
@@ -50,7 +52,7 @@ class RetrievalModel(TranslationModel):
         token_ids = array("i")
         sizes = array("q")
         for pair in pairs:
-            tokens = frozenset(tokenize(pair.nl))
+            tokens = frozenset(pair.tokens)
             token_ids.extend(vocab.setdefault(token, len(vocab)) for token in tokens)
             sizes.append(len(tokens))
             self._examples.append((pair.nl, pair.sql_text))

@@ -25,15 +25,8 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text: str) -> list[str]:
-    """Split ``text`` into lower-cased tokens (placeholders keep case)."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        token = match.group(0)
-        if token.startswith("@"):
-            tokens.append(token.upper())
-        else:
-            tokens.append(token.lower())
-    return tokens
+    """Split ``text`` into lower-cased tokens (placeholders upper-cased)."""
+    return [t.upper() if t[0] == "@" else t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -1,8 +1,8 @@
 """Cache ablation: run synthesis with the hot-path caches disabled.
 
 The caching work (memoized :class:`TrainingPair` keys, the lemmatizer
-word cache, the PPDB lookup cache) claims a sequential speedup; a claim
-like that needs an A/B under the *same* code version.
+word and token caches, the PPDB lookup cache) claims a sequential
+speedup; a claim like that needs an A/B under the *same* code version.
 :func:`uncached_hot_paths` temporarily restores the uncached behaviour
 of every memoized hot path so benchmarks can measure "caching alone"
 honestly — the surrounding engine (sharding, fast-fail) stays active in
@@ -47,15 +47,18 @@ def uncached_hot_paths():
     cached_sql_text = _templates.TrainingPair.__dict__["sql_text"]
     cached_key = _templates.TrainingPair.key
     cached_word = _lemmatizer.lemmatize_word
+    cached_token = _lemmatizer.lemmatize_token
     cached_lookup = _ppdb.ParaphraseDatabase.lookup
     try:
         _templates.TrainingPair.sql_text = property(uncached_sql_text)
         _templates.TrainingPair.key = uncached_key
         _lemmatizer.lemmatize_word = _lemmatizer.lemmatize_word_uncached
+        _lemmatizer.lemmatize_token = _lemmatizer.lemmatize_token_uncached
         _ppdb.ParaphraseDatabase.lookup = uncached_lookup
         yield
     finally:
         _templates.TrainingPair.sql_text = cached_sql_text
         _templates.TrainingPair.key = cached_key
         _lemmatizer.lemmatize_word = cached_word
+        _lemmatizer.lemmatize_token = cached_token
         _ppdb.ParaphraseDatabase.lookup = cached_lookup

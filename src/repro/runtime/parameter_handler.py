@@ -119,7 +119,8 @@ class ParameterHandler:
 
         Longest match first, up to 3 tokens, using exact-then-fuzzy
         lookup.  The fuzzy path also *corrects* the constant to the most
-        similar stored value ("New York City" -> "NYC", §4.1).
+        similar stored value ("New York City" -> "NYC", §4.1).  A schema
+        word is never a constant, so it skips the lookup altogether.
         """
         if not tokens[position].isalpha():
             return None
@@ -127,12 +128,11 @@ class ParameterHandler:
             if position + length > len(tokens):
                 continue
             phrase = " ".join(tokens[position : position + length])
-            hits = self.index.lookup(phrase)
-            if not hits:
-                hits = [
-                    h for h in self.index.fuzzy_lookup(phrase) if h.score >= 0.55
-                ]
-            if hits and phrase.lower() not in self._schema_words:
+            if phrase.lower() in self._schema_words:
+                continue
+            # Exact hits score 1.0, so the threshold keeps all of them.
+            hits = [h for h in self.index.fuzzy_lookup(phrase) if h.score >= 0.55]
+            if hits:
                 hit = hits[0]
                 return (
                     Binding(

@@ -14,14 +14,10 @@ reasoning the paper relies on:
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 from repro.errors import SchemaError
 from repro.schema.column import Column
 from repro.schema.table import ForeignKey, Table
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class Schema:
@@ -121,21 +117,27 @@ class Schema:
             adjacency[fk.ref_table][fk.table] = fk
         return adjacency
 
-    @property
-    def join_graph(self) -> "nx.Graph":
-        """The undirected join graph as a fresh ``networkx.Graph``.
+    def join_components(self) -> list[set[str]]:
+        """Connected components of the join graph, as sets of tables.
 
-        Nodes are tables; each edge carries its foreign key as ``fk``.
-        Built on access so that networkx is imported only by callers
-        that need graph algorithms.
+        Components come in the order of their first table in the
+        schema, as ``networkx.connected_components`` yields them.
         """
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.table_names)
-        for fk in self.foreign_keys:
-            graph.add_edge(fk.table, fk.ref_table, fk=fk)
-        return graph
+        components: list[set[str]] = []
+        seen: set[str] = set()
+        for start in self.table_names:
+            if start in seen:
+                continue
+            component = {start}
+            frontier = [start]
+            while frontier:
+                for other in self._adjacency[frontier.pop()]:
+                    if other not in component:
+                        component.add(other)
+                        frontier.append(other)
+            seen |= component
+            components.append(component)
+        return components
 
     def join_path(self, tables: list[str] | tuple[str, ...]) -> list[ForeignKey]:
         """Shortest join path connecting all ``tables``.

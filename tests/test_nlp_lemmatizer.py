@@ -1,8 +1,11 @@
 """Tests for the rule-based lemmatizer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.nlp import lemmatize, lemmatize_word
+from repro.core.templates import Family, TrainingPair
+from repro.nlp import lemmatize, lemmatize_tokens, lemmatize_word, tokenize
+from repro.sql.parser import parse
 
 
 class TestIrregulars:
@@ -110,3 +113,66 @@ class TestSentences:
     def test_idempotent(self):
         text = "show me the longest rivers"
         assert lemmatize(lemmatize(text)) == lemmatize(text)
+
+
+#: Pieces that stress the tokenizer's alternatives: possessives and bare
+#: apostrophes, dotted placeholders, decimals, operators, symbols.
+PIECES = st.sampled_from(
+    [
+        "car's", "cars'", "'", "'s", "it's", "o'neil's", "don't", "_'s",
+        "@AGE", "@STATE.NAME", "@age.", "@", "@1", "3.5", "1.", ".5", "42",
+        "<>", "<=", "!=", "==", "!", "?", ",", "-", "$", "%", "(", ")",
+        "Patients", "cities", "running", "largest", "is", "a_b", "_",
+    ]
+)
+SEPARATORS = st.sampled_from(["", " ", "  ", "\t"])
+ASCII_TEXT = st.text(
+    alphabet="abcXYZ019 '@._<>=!?,-$s", max_size=40
+) | st.lists(st.tuples(PIECES, SEPARATORS), max_size=12).map(
+    lambda parts: "".join(piece + sep for piece, sep in parts)
+)
+
+
+class TestRetokenizeProperty:
+    """Joined lemmas re-tokenize to themselves.
+
+    Synthesis keeps each lemmatized sentence's token list as
+    ``TrainingPair.tokens`` and ``RetrievalModel.fit`` reads it instead
+    of re-tokenizing the joined sentence; that is sound exactly when
+    ``tokenize(" ".join(L)) == L``.
+    """
+
+    @given(ASCII_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_joined_lemmas_retokenize_to_themselves(self, text):
+        lemmas = lemmatize_tokens(tokenize(text))
+        assert tokenize(" ".join(lemmas)) == lemmas
+
+    @given(st.text(max_size=30) | ASCII_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_lemmatized_pair_tokens_equal_tokenize(self, text):
+        """Any text, including non-ASCII whose lower-casing changes
+        length: the memoized tokens always equal ``tokenize(nl)``."""
+        pair = TrainingPair(
+            nl=text,
+            sql=parse("SELECT COUNT(*) FROM patients"),
+            template_id="t1",
+            family=Family.AGGREGATE,
+            schema_name="patients",
+        )
+        lemmatized = pair.lemmatized()
+        assert lemmatized.nl == lemmatize(text)
+        assert lemmatized.tokens == tuple(tokenize(lemmatized.nl))
+
+    def test_non_ascii_lowercasing_that_splits_a_token(self):
+        # "İ" lower-cases to "i" plus a combining dot: two tokens once
+        # re-tokenized, so the pair must not keep the one-token list.
+        pair = TrainingPair(
+            nl="İ",
+            sql=parse("SELECT COUNT(*) FROM patients"),
+            template_id="t1",
+            family=Family.AGGREGATE,
+            schema_name="patients",
+        ).lemmatized()
+        assert "tokens" not in pair.__dict__
+        assert pair.tokens == tuple(tokenize(pair.nl))

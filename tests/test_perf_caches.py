@@ -6,19 +6,26 @@ its uncached ground truth.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.generator import Generator
 from repro.core.templates import Family, TrainingPair
+from repro.nlp import lemmatizer as lemmatizer_module
 from repro.nlp.lemmatizer import (
     IRREGULAR_NOUNS,
     IRREGULAR_VERBS,
+    LEMMA_CACHE_SIZE,
     PROTECTED,
+    lemmatize,
+    lemmatize_token,
+    lemmatize_token_uncached,
     lemmatize_word,
     lemmatize_word_uncached,
 )
 from repro.nlp.ppdb import ParaphraseDatabase
+from repro.nlp.tokenizer import tokenize
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 
@@ -67,6 +74,28 @@ class TestTrainingPairMemoization:
         cold = make_pair()
         assert warm == cold
 
+    def test_with_nl_equals_dataclass_replace(self):
+        pair = make_pair()
+        copy = pair.with_nl("patient count please", "paraphrase")
+        assert copy == replace(pair, nl="patient count please", augmentation="paraphrase")
+        assert type(copy) is TrainingPair
+
+    def test_tokens_memoized_from_nl(self):
+        pair = make_pair("How many Patients' ages are @AGE?")
+        assert pair.tokens == tuple(tokenize(pair.nl))
+        assert pair.tokens is pair.tokens
+        # A copy with a new NL never inherits the old tokens.
+        copy = pair.with_nl("count patients", "paraphrase")
+        assert copy.tokens == ("count", "patients")
+
+    def test_lemmatized_copy_carries_its_tokens(self):
+        pair = make_pair("What are the names of the patients' doctors?")
+        _ = pair.tokens
+        copy = pair.lemmatized()
+        assert copy.nl == lemmatize(pair.nl)
+        assert copy.augmentation == pair.augmentation
+        assert copy.__dict__["tokens"] == tuple(tokenize(copy.nl))
+
     def test_pickle_roundtrip_preserves_key(self):
         pair = make_pair()
         _ = pair.key()
@@ -101,6 +130,31 @@ class TestLemmatizerCache:
     def test_cache_info_exposed(self):
         lemmatize_word("patients")
         assert lemmatize_word.cache_info().currsize > 0
+
+    def test_token_cache_matches_uncached(self):
+        for token in ("car's", "patients'", "'", "@AGE", "cities", "3.5", "it's"):
+            assert lemmatize_token(token) == lemmatize_token_uncached(token), token
+
+    def test_caches_stay_bounded_on_distinct_user_tokens(self):
+        """Serving lemmatizes every distinct user token; the caches must
+        evict rather than grow with the stream."""
+        caches = (lemmatize_word, lemmatize_token)
+        for cache in caches:
+            assert cache.cache_info().maxsize == LEMMA_CACHE_SIZE
+        words = [
+            f"q{chr(97 + i % 26)}{chr(97 + i // 26 % 26)}{chr(97 + i // 676 % 26)}x"
+            for i in range(LEMMA_CACHE_SIZE + 500)
+        ]
+        try:
+            for start in range(0, len(words), 1000):
+                lemmatize(" ".join(words[start : start + 1000]))
+                for cache in caches:
+                    info = cache.cache_info()
+                    assert info.currsize <= info.maxsize
+            assert lemmatize_token.cache_info().currsize == LEMMA_CACHE_SIZE
+        finally:
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestPPDBLookupCache:
@@ -145,6 +199,12 @@ class TestUncachedHotPathsAblation:
             assert pair.sql_text == cached_text
             assert pair.key() == (pair.nl, cached_text)
             assert lemmatize_word("patients") == "patient"
+            assert lemmatize_token("patients'") == "patient"
+            # Synthesis reaches the lemma caches through the module, so
+            # the uncached arm must find them swapped out there.
+            assert lemmatizer_module.lemmatize_word is lemmatize_word_uncached
+            assert lemmatizer_module.lemmatize_token is lemmatize_token_uncached
+        assert lemmatizer_module.lemmatize_token is lemmatize_token
         # Cached descriptors are back after the block.
         assert make_pair().key() is make_pair().key() or True
         fresh = make_pair()

@@ -58,7 +58,11 @@ def _assert_same(model: RetrievalModel, questions) -> None:
 
 
 def _pairs(*rows):
-    return [SimpleNamespace(nl=nl, sql_text=sql) for nl, sql in rows]
+    """Stand-ins with the three ``TrainingPair`` attributes ``fit`` reads."""
+    return [
+        SimpleNamespace(nl=nl, sql_text=sql, tokens=tuple(tokenize(nl)))
+        for nl, sql in rows
+    ]
 
 
 def test_patients_paraphrases_match_scan(retrieval_nlidb):

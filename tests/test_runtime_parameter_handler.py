@@ -4,7 +4,7 @@ import pytest
 
 from repro.db import Database
 from repro.runtime import ParameterHandler
-from repro.runtime.parameter_handler import schema_words
+from repro.runtime.parameter_handler import Binding, schema_words
 from repro.schema import all_schemas
 
 
@@ -115,3 +115,59 @@ def test_schema_word_set_matches_schema_walk():
                 schema.name,
                 probe,
             )
+
+
+def _two_lookup_match(handler, tokens, position):
+    """``_match_string`` as it was: exact lookup, then a fuzzy lookup
+    that repeats the exact one, and the schema-word test last."""
+    if not tokens[position].isalpha():
+        return None
+    for length in (3, 2, 1):
+        if position + length > len(tokens):
+            continue
+        phrase = " ".join(tokens[position : position + length])
+        hits = handler.index.lookup(phrase)
+        if not hits:
+            hits = [h for h in handler.index.fuzzy_lookup(phrase) if h.score >= 0.55]
+        if hits and phrase.lower() not in handler._schema_words:
+            hit = hits[0]
+            return (
+                Binding(hit.column.upper(), hit.value, hit.table, hit.column),
+                length,
+            )
+    return None
+
+
+class TestStringMatchPath:
+    def test_schema_words_never_reach_the_index(self, handler):
+        phrases = []
+        fuzzy = handler.index.fuzzy_lookup
+
+        def recording(phrase):
+            phrases.append(phrase)
+            return fuzzy(phrase)
+
+        handler.index.fuzzy_lookup = recording
+        try:
+            handler.anonymize("show me the names of all patients")
+        finally:
+            del handler.index.fuzzy_lookup
+        assert phrases
+        assert not [p for p in phrases if p in handler._schema_words]
+
+    def test_same_answers_as_two_lookup_match(self, handler, patients_db):
+        from repro.bench import build_patients_benchmark
+
+        questions = [item.nl for item in build_patients_benchmark().items[::4]]
+        names = [r["name"] for r in patients_db.rows("patients")][:5]
+        questions += [f"patients named {n}" for n in names]
+        questions += [f"patients named {n.lower()[:-1]}" for n in names]
+        got = [handler.anonymize(q) for q in questions]
+        handler._match_string = lambda tokens, position: _two_lookup_match(
+            handler, tokens, position
+        )
+        try:
+            want = [handler.anonymize(q) for q in questions]
+        finally:
+            del handler._match_string
+        assert got == want

@@ -1,12 +1,14 @@
-"""``Schema``'s own shortest join path equals the networkx one it replaced.
+"""``Schema``'s own join-graph searches equal the networkx ones they replaced.
 
 ``Schema`` finds join paths with a bidirectional BFS over an
 insertion-ordered adjacency map instead of ``networkx.shortest_path``.
 Among equally short paths the choice decides which tables and FK
 conditions ``@JOIN`` expansion emits, so the BFS must pick exactly the
-path networkx picks.  The references below run networkx on
-``Schema.join_graph``; ``reference_join_path`` is the networkx-based
-``join_path`` as it was, kept here as the oracle.
+path networkx picks.  Likewise ``Schema.join_components`` (the schema
+lint's L404 check) must yield ``networkx.connected_components`` in its
+order.  The references below run networkx on :func:`join_graph`;
+``reference_join_path`` is the networkx-based ``join_path`` as it was,
+kept here as the oracle.
 """
 
 import itertools
@@ -21,15 +23,24 @@ from repro.schema import ForeignKey, Schema, Table, all_schemas, integer
 COLUMNS = 3  # FK columns per table: room for parallel FKs between a pair
 
 
+def join_graph(schema: Schema) -> nx.Graph:
+    """The undirected join graph: tables as nodes, each FK on its edge."""
+    graph = nx.Graph()
+    graph.add_nodes_from(schema.table_names)
+    for fk in schema.foreign_keys:
+        graph.add_edge(fk.table, fk.ref_table, fk=fk)
+    return graph
+
+
 def reference_shortest_path(schema: Schema, source: str, target: str):
     try:
-        return nx.shortest_path(schema.join_graph, source, target)
+        return nx.shortest_path(join_graph(schema), source, target)
     except nx.NetworkXNoPath:
         return None
 
 
 def reference_join_path(schema: Schema, tables) -> list[ForeignKey]:
-    graph = schema.join_graph
+    graph = join_graph(schema)
     wanted = list(dict.fromkeys(tables))
     if len(wanted) <= 1:
         return []
@@ -90,6 +101,9 @@ def random_schema(seed: int) -> Schema:
 
 
 def assert_same_as_networkx(schema: Schema, rng: random.Random) -> None:
+    assert schema.join_components() == list(
+        nx.connected_components(join_graph(schema))
+    ), schema.name
     names = schema.table_names
     for source, target in itertools.product(names, repeat=2):
         assert schema._shortest_path(source, target) == reference_shortest_path(
@@ -132,7 +146,7 @@ def test_random_schemas_cover_the_hard_shapes():
     shapes = set()
     for seed in range(60):
         schema = random_schema(seed)
-        graph = schema.join_graph
+        graph = join_graph(schema)
         pairs = [frozenset((fk.table, fk.ref_table)) for fk in schema.foreign_keys]
         if len(pairs) != len(set(pairs)):
             shapes.add("parallel")

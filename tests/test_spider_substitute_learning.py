@@ -11,7 +11,6 @@ from repro.bench import spider_schemas, spider_test_workload, spider_train_pairs
 from repro.core import GenerationConfig, TrainingPipeline
 from repro.eval import evaluate
 from repro.neural import CrossDomainModel, Seq2SeqModel
-from repro.nlp.lemmatizer import lemmatize
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +18,7 @@ def setup():
     train_schemas, test_schemas = spider_schemas()
     all_schemas = train_schemas + test_schemas
     spider = [
-        p.with_nl(lemmatize(p.nl), p.augmentation)
-        for p in spider_train_pairs(pairs_per_schema=100, seed=100)
+        p.lemmatized() for p in spider_train_pairs(pairs_per_schema=100, seed=100)
     ]
     workload = spider_test_workload(items_per_schema=12, seed=200)
     schemas_map = {s.name: s for s in all_schemas}
