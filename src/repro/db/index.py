@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db.similarity import SimilarityFn, best_match, jaccard_trigram
+from repro.db.similarity import SimilarityFn, TrigramPhrase, best_match, jaccard_trigram
 from repro.db.storage import Database
 
 
@@ -52,6 +52,16 @@ class ValueIndex:
                     self._exact.setdefault(key, []).append(
                         (table.name, column.name, value)
                     )
+        # One int per text value: its trigram count, for the size window.
+        self._trigram_counts: dict[tuple[str, str], list[int]] = {}
+        if similarity is jaccard_trigram:
+            self._trigram_counts = {
+                key: [TrigramPhrase(v).size for v in values]
+                for key, values in self._text_values.items()
+            }
+        self._largest = max(
+            (n for counts in self._trigram_counts.values() for n in counts), default=0
+        )
 
     @staticmethod
     def _normalize(value) -> str:
@@ -71,15 +81,32 @@ class ValueIndex:
         "which could mean that the value does not exist in the
         database" — an empty list is returned and the caller keeps the
         constant as given by the user.
+
+        With the default trigram metric the phrase's trigram set is built
+        once, and a value whose trigram count lies outside the phrase's
+        size window is skipped unscored: its score is provably below the
+        threshold (see :class:`TrigramPhrase`), so the hits are exactly
+        the full scan's.  Any other metric scores every value.
         """
         exact = self.lookup(constant)
         if exact:
             return exact
+        trigram = self._similarity is jaccard_trigram
+        if trigram:
+            phrase = TrigramPhrase(constant)
+            lo, hi = phrase.size_window(self._threshold, self._largest)
         hits: list[ValueHit] = []
         for (table, column), values in self._text_values.items():
-            match, score = best_match(
-                constant, values, self._similarity, self._threshold
-            )
+            if trigram:
+                counts = self._trigram_counts[(table, column)]
+                match, score = phrase.best_match(
+                    (v for v, n in zip(values, counts) if lo <= n <= hi),
+                    self._threshold,
+                )
+            else:
+                match, score = best_match(
+                    constant, values, self._similarity, self._threshold
+                )
             if match is not None:
                 hits.append(ValueHit(table, column, match, score))
         hits.sort(key=lambda h: (-h.score, h.table, h.column))

@@ -52,7 +52,7 @@ from repro.core.faults import (
     RepairFaultPlan,
 )
 from repro.db.index import ValueIndex
-from repro.db.similarity import jaccard_trigram
+from repro.db.similarity import TrigramPhrase, jaccard_trigram
 from repro.errors import (
     E_REPAIR_BUDGET,
     E_REPAIR_EXEC,
@@ -334,10 +334,10 @@ class QueryRepairer:
 
     @classmethod
     def _phrase_score(cls, needle: str, name: str, phrases) -> float:
-        target = needle.replace("_", " ")
+        target = TrigramPhrase(needle.replace("_", " "))
         score = max(jaccard_trigram(needle, name), cls._edit_ratio(needle, name))
         for phrase in phrases:
-            score = max(score, jaccard_trigram(target, phrase))
+            score = max(score, target.score(phrase))
         return score
 
     def _table_candidates(self, name: str) -> list[tuple[float, str]]:
