@@ -29,11 +29,13 @@ reasoning, not just its verdict:
   constant, blocking differential execution.
 
 Differential probes reuse the PR 3/6/7 machinery: databases come from
-:func:`repro.db.populate` at fixed seeds, execution goes through the
-planned :class:`~repro.db.planner.ExecutorSession`, and placeholders
-are bound to constants that actually occur in the probe database (the
-same binding rule as the executor differential suite), so both queries
-see identical constants for identically-named slots.
+:func:`repro.db.populate` at fixed seeds, rows come from
+:meth:`repro.sql.equivalence.EquivalenceChecker.probe` (one cached
+planned :class:`~repro.db.planner.ExecutorSession` per probe database,
+the same loop the Patients checker uses), and placeholders are bound to
+constants that actually occur in the probe database (the same binding
+rule as the executor differential suite), so both queries see identical
+constants for identically-named slots.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, FixHint, LintReport, make
-from repro.errors import ReproError
-from repro.sql.ast import Query
+from repro.sql.ast import Literal, Query
 from repro.sql.canonical import canonical_sql, canonical_text
-from repro.sql.equivalence import _results_match
+from repro.sql.edits import map_placeholders
+from repro.sql.equivalence import EquivalenceChecker
 
 #: The three verdicts.  ``EQUIVALENT`` requires a canonical-form proof.
 EQUIVALENT = "EQUIVALENT"
@@ -106,6 +108,11 @@ class _ConstantBinder:
     def __init__(self, database) -> None:
         self._database = database
 
+    def bind(self, placeholder):
+        """``placeholder`` as a literal constant, or itself when none fits."""
+        value = self.resolve(placeholder)
+        return placeholder if value is None else Literal(value)
+
     def resolve(self, placeholder):
         schema = self._database.schema
         column = placeholder.column
@@ -154,6 +161,7 @@ class EquivalenceOracle:
         self._databases = list(databases) if databases is not None else None
         # Caller-supplied databases were never built from ``seeds``.
         self._seeded = databases is None
+        self._checker: EquivalenceChecker | None = None
 
     # -- probe arms ----------------------------------------------------
 
@@ -166,6 +174,13 @@ class EquivalenceOracle:
                 for seed in self.seeds
             ]
         return self._databases
+
+    @property
+    def checker(self) -> EquivalenceChecker:
+        """The probe loop over :meth:`_probe_databases` (built once)."""
+        if self._checker is None:
+            self._checker = EquivalenceChecker(self._probe_databases())
+        return self._checker
 
     # -- the oracle ----------------------------------------------------
 
@@ -216,40 +231,25 @@ class EquivalenceOracle:
     ) -> None:
         """Probe for a counterexample; fills verdict/probes/diagnostics."""
         report = result.report
-        order_sensitive = bool(left.order_by) and bool(right.order_by)
+        # Bind every probe database's constants up to the first one that
+        # cannot bind; an unbindable placeholder blocks *every* later arm.
+        pairs = []
+        blocked: Diagnostic | None = None
+        for database in self._probe_databases():
+            pair, blocked = self._bind(left, right, database, location)
+            if blocked is not None:
+                break
+            pairs.append(pair)
         agreed_probes = 0
-        for index, database in enumerate(self._probe_databases()):
+        for index, run in enumerate(self.checker.probe(left, right, pairs)):
             seed = self.seeds[index] if self._seeded else index
             probe = f"seed={seed}" if self._seeded else f"#{seed}"
-            bound = []
-            blocked: Diagnostic | None = None
-            for side, query in (("left", left), ("right", right)):
-                query, blocked = self._bind(query, database, side, location)
-                if blocked is not None:
-                    break
-                bound.append(query)
-            if blocked is not None:
-                report.extend([blocked])
-                result.probes.append(
-                    ProbeOutcome(seed, executed=False, detail=blocked.message)
-                )
-                # An unbindable placeholder blocks *every* probe arm.
-                result.verdict = UNKNOWN
-                return
-            rows = []
-            failure = ""
-            for query in bound:
-                try:
-                    rows.append(self._execute(query, database))
-                except ReproError as exc:
-                    failure = str(exc)
-                    break
-            if failure:
+            if run.error:
                 report.extend(
                     [
                         make(
                             "L604",
-                            f"probe {probe} skipped: {failure}",
+                            f"probe {probe} skipped: {run.error}",
                             location=location,
                             hint="the query is outside the executable subset "
                             "on this probe database",
@@ -257,10 +257,10 @@ class EquivalenceOracle:
                     ]
                 )
                 result.probes.append(
-                    ProbeOutcome(seed, executed=False, detail=failure)
+                    ProbeOutcome(seed, executed=False, detail=run.error)
                 )
                 continue
-            if _results_match(rows[0], rows[1], order_sensitive):
+            if run.agreed:
                 agreed_probes += 1
                 result.probes.append(ProbeOutcome(seed, executed=True, agreed=True))
                 continue
@@ -270,7 +270,7 @@ class EquivalenceOracle:
                     seed,
                     executed=True,
                     agreed=False,
-                    detail=f"{len(rows[0])} vs {len(rows[1])} result rows",
+                    detail=f"{run.rows[0]} vs {run.rows[1]} result rows",
                 )
             )
             report.extend(
@@ -291,6 +291,13 @@ class EquivalenceOracle:
             )
             return
         result.verdict = UNKNOWN
+        if blocked is not None:
+            seed = self.seeds[len(pairs)] if self._seeded else len(pairs)
+            report.extend([blocked])
+            result.probes.append(
+                ProbeOutcome(seed, executed=False, detail=blocked.message)
+            )
+            return
         if agreed_probes:
             report.extend(
                 [
@@ -305,32 +312,29 @@ class EquivalenceOracle:
                 ]
             )
 
-    def _bind(self, query: Query, database, side: str, location: str):
-        """Bind placeholders to database constants; diagnostic on failure."""
-        if not query.placeholders():
-            return query, None
-        from repro.runtime.postprocess import _transform_query
-
+    def _bind(self, left: Query, right: Query, database, location: str):
+        """Both queries with placeholders bound to ``database``'s
+        constants, or ``None`` and an L606 diagnostic for the first side
+        that cannot be bound."""
         binder = _ConstantBinder(database)
-        bound = _transform_query(query, binder)
-        unresolved = bound.placeholders()
-        if unresolved:
-            names = ", ".join(sorted({"@" + p.name for p in unresolved}))
-            return bound, make(
-                "L606",
-                f"{side} query has unresolvable placeholder(s) {names}",
-                location=location,
-                span=unresolved[0].span,
-                hint="no probe constant exists for this slot; bind it "
-                "explicitly before asking for a differential verdict",
-                fix=FixHint(kind="bind_placeholder", subject=unresolved[0].name),
-            )
-        return bound, None
-
-    def _execute(self, query: Query, database):
-        from repro.db.planner import execute_planned
-
-        return execute_planned(query, database)
+        pair = []
+        for side, query in (("left", left), ("right", right)):
+            if query.placeholders():
+                query = map_placeholders(query, binder.bind)
+            unresolved = query.placeholders()
+            if unresolved:
+                names = ", ".join(sorted({"@" + p.name for p in unresolved}))
+                return None, make(
+                    "L606",
+                    f"{side} query has unresolvable placeholder(s) {names}",
+                    location=location,
+                    span=unresolved[0].span,
+                    hint="no probe constant exists for this slot; bind it "
+                    "explicitly before asking for a differential verdict",
+                    fix=FixHint(kind="bind_placeholder", subject=unresolved[0].name),
+                )
+            pair.append(query)
+        return tuple(pair), None
 
 
 __all__ = [

@@ -49,13 +49,16 @@ class DBPal:
         A fitted :class:`~repro.neural.base.TranslationModel`; if
         omitted, call :meth:`train` first.
     backend:
-        Execution backend for :meth:`execute`: ``None`` (default) runs
-        the in-memory planned executor directly, ``"memory"``/
-        ``"sqlite"`` select a :mod:`repro.adapters` backend by name
-        (sqlite mirrors ``database`` into an in-process engine), and a
-        :class:`~repro.adapters.BackendAdapter` instance is used as-is.
-        Adapter-backed results are normalized
-        (:func:`repro.adapters.normalize_rows`).
+        Execution target for :meth:`execute`, always set after
+        construction: ``None`` (default) resolves to :attr:`executor`,
+        the planned in-memory session, whose rows are returned exactly;
+        ``"memory"``/``"sqlite"`` select a :mod:`repro.adapters` backend
+        by name (sqlite mirrors ``database`` into an in-process engine),
+        and a :class:`~repro.adapters.BackendAdapter` instance is used
+        as-is.  Adapter-backed results are normalized
+        (:func:`repro.adapters.normalize_rows`: floats keep 12
+        significant digits), which is why the default is the session
+        itself rather than a ``MemoryAdapter`` over it.
     """
 
     def __init__(
@@ -80,7 +83,7 @@ class DBPal:
         from repro.adapters import BackendAdapter, MemoryAdapter, SqliteAdapter
 
         if backend is None:
-            return None
+            return self.executor
         if isinstance(backend, BackendAdapter):
             return backend
         if backend == "memory":
@@ -130,11 +133,9 @@ class DBPal:
         )
 
     def execute(self, query: Query, max_rows: int | None = None) -> list[Row]:
-        """Run ``query`` on the configured backend, else the planned session:
-        the one engine choice behind :meth:`query` and serving ``query()``."""
-        if self.backend is not None:
-            return self.backend.execute(query, max_rows=max_rows)
-        return self.executor.execute(query, max_rows=max_rows)
+        """Run ``query`` on :attr:`backend`: the one engine choice behind
+        :meth:`query`, serving ``query()`` and serving repair."""
+        return self.backend.execute(query, max_rows=max_rows)
 
     def query(self, nl: str, max_rows: int | None = None) -> list[Row]:
         """Translate, then :meth:`execute`; raises on untranslatable questions."""

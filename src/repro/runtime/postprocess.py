@@ -24,23 +24,16 @@ from repro.errors import SchemaError
 from repro.runtime.parameter_handler import Binding
 from repro.schema.schema import Schema
 from repro.sql.ast import (
-    And,
-    Between,
     ColumnRef,
     CompOp,
     Comparison,
-    Exists,
-    InPredicate,
-    Like,
     Literal,
-    Not,
-    Or,
     Placeholder,
     Predicate,
     Query,
-    Subquery,
     conjoin,
 )
+from repro.sql.edits import map_placeholders
 from repro.sql.parser import try_parse
 from repro.sql.printer import to_sql
 
@@ -101,7 +94,7 @@ class PostProcessor:
             pass
         if key:
             bindings = [Binding(p, v, t, c) for p, _, v, t, c in key]
-            query = _restore_placeholders(query, bindings)
+            query = restore_placeholders(query, bindings)
         return query, to_sql(query), repaired
 
     # ------------------------------------------------------------------
@@ -204,68 +197,22 @@ class _Resolver:
         return None
 
 
-def _restore_placeholders(query: Query, bindings: list[Binding]) -> Query:
-    resolver = _Resolver(bindings)
-    return _transform_query(query, resolver)
-
-
 def restore_placeholders(query: Query, bindings: list[Binding]) -> Query:
     """Re-bind anonymization-map constants into ``query``'s placeholders.
 
-    Public entry point for callers outside the post-processing pass —
-    notably the serving repair loop, which renames a placeholder's
-    column segment and must then re-run constant restoration.
-    Placeholders with no matching binding are left visible.
+    The post-processing pass's restoration step, also called by the
+    serving repair loop, which renames a placeholder's column segment
+    and must then re-run constant restoration.  Placeholders with no
+    matching binding are left visible.
     """
-    return _restore_placeholders(query, bindings)
+    return _transform_query(query, _Resolver(bindings))
 
 
-def _transform_query(query: Query, resolver: _Resolver) -> Query:
-    where = _transform_pred(query.where, resolver) if query.where else None
-    having = _transform_pred(query.having, resolver) if query.having else None
-    return dc_replace(query, where=where, having=having)
+def _transform_query(query: Query, resolver) -> Query:
+    """``query`` with each placeholder ``resolver`` resolves made a literal."""
 
+    def restore(placeholder: Placeholder):
+        value = resolver.resolve(placeholder)
+        return placeholder if value is None else Literal(value)
 
-def _transform_operand(operand, resolver: _Resolver):
-    if isinstance(operand, Placeholder):
-        value = resolver.resolve(operand)
-        if value is None:
-            return operand  # leave unresolved placeholders visible
-        return Literal(value)
-    if isinstance(operand, Subquery):
-        return Subquery(_transform_query(operand.query, resolver))
-    return operand
-
-
-def _transform_pred(pred: Predicate, resolver: _Resolver) -> Predicate:
-    if isinstance(pred, Comparison):
-        return Comparison(
-            _transform_operand(pred.left, resolver),
-            pred.op,
-            _transform_operand(pred.right, resolver),
-        )
-    if isinstance(pred, Between):
-        return Between(
-            pred.column,
-            _transform_operand(pred.low, resolver),
-            _transform_operand(pred.high, resolver),
-        )
-    if isinstance(pred, InPredicate):
-        subquery = (
-            Subquery(_transform_query(pred.subquery.query, resolver))
-            if pred.subquery is not None
-            else None
-        )
-        values = tuple(_transform_operand(v, resolver) for v in pred.values)
-        return InPredicate(pred.column, values, subquery, pred.negated)
-    if isinstance(pred, Like):
-        return Like(pred.column, _transform_operand(pred.pattern, resolver), pred.negated)
-    if isinstance(pred, Exists):
-        return Exists(Subquery(_transform_query(pred.subquery.query, resolver)), pred.negated)
-    if isinstance(pred, Not):
-        return Not(_transform_pred(pred.operand, resolver))
-    if isinstance(pred, And):
-        return And(tuple(_transform_pred(p, resolver) for p in pred.operands))
-    if isinstance(pred, Or):
-        return Or(tuple(_transform_pred(p, resolver) for p in pred.operands))
-    return pred
+    return map_placeholders(query, restore)

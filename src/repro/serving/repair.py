@@ -780,9 +780,11 @@ class RepairPipeline:
     schema:
         Schema the candidates are resolved against.
     adapter:
-        A :class:`~repro.adapters.BackendAdapter` over the sampled
-        database for the execution arm; ``None`` skips stage 3 (repaired
-        candidates are served lint-clean but unverified).
+        The execution arm over the sampled database: anything with
+        ``execute(query, max_rows=)``, such as a
+        :class:`~repro.adapters.BackendAdapter` or ``DBPal.backend``;
+        ``None`` skips stage 3 (repaired candidates are served
+        lint-clean but unverified).
     budget:
         Resource bounds; see :class:`RepairBudget`.
     value_index:
@@ -1081,7 +1083,7 @@ class RepairPipeline:
         if seconds > self.budget.execute_timeout:
             return EXEC_TIMEOUT, f"{seconds:.3f}s > execute_timeout", seconds
         degenerate = not rows or all(
-            all(value is None for value in row) for row in rows
+            all(value is None for value in row.values()) for row in rows
         )
         if degenerate:
             return EXEC_EMPTY, f"{len(rows)} row(s)", seconds

@@ -14,8 +14,8 @@ the model calls)::
                                   exception)           │
                                                        ▼
                                 postprocess (restore THIS request's constants)
-                                     └─ query() only: DBPal.execute (the configured
-                                        backend, else the planned ExecutorSession)
+                                     └─ query() only: DBPal.execute (DBPal.backend:
+                                        the planned ExecutorSession by default)
 
 Two properties matter and are tested:
 
@@ -249,11 +249,9 @@ class TranslationService(ServingTier):
         self._fallback = KeywordFallback(nlidb.database.schema)
         self._last_repair_trace: dict | None = None
         if cfg.repair_attempts > 0:
-            from repro.adapters import MemoryAdapter
-
             self._repair: RepairPipeline | None = RepairPipeline(
                 nlidb.database.schema,
-                adapter=nlidb.backend or MemoryAdapter(nlidb.executor),
+                adapter=nlidb.backend,
                 budget=RepairBudget(
                     max_attempts=cfg.repair_attempts,
                     deadline=cfg.repair_deadline,

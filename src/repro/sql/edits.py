@@ -26,6 +26,7 @@ from repro.sql.ast import (
     Exists,
     InPredicate,
     Like,
+    Literal,
     Not,
     Or,
     Placeholder,
@@ -39,8 +40,9 @@ from repro.sql.ast import (
 
 #: Rewrites one column reference (return the input to leave it alone).
 RefFn = Callable[[ColumnRef], ColumnRef]
-#: Rewrites one placeholder (return the input to leave it alone).
-PlaceholderFn = Callable[[Placeholder], Placeholder]
+#: Rewrites one placeholder, e.g. into the literal it stands for
+#: (return the input to leave it alone).
+PlaceholderFn = Callable[[Placeholder], "Placeholder | Literal"]
 
 
 # ----------------------------------------------------------------------

@@ -22,14 +22,17 @@ data generated from the query constants, it matches the manual
 
 The three-verdict oracle that never upgrades probe agreement to
 equivalence is :class:`repro.analysis.equivalence.EquivalenceOracle`;
-it shares :func:`_results_match` with this checker.
+it reads its probe results from :meth:`EquivalenceChecker.probe`, the
+package's one loop that runs two queries on the same probe arms.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ReproError
 from repro.sql.ast import Query
 from repro.sql.canonical import normalize
 
@@ -37,6 +40,20 @@ from repro.sql.canonical import normalize
 def structurally_equivalent(left: Query, right: Query) -> bool:
     """Whether the two queries normalize to the same AST."""
     return normalize(left) == normalize(right)
+
+
+@dataclass(frozen=True)
+class ProbeRun:
+    """One probe arm's outcome for a query pair.
+
+    ``error`` holds the message when either query failed on the arm;
+    otherwise ``agreed`` says whether the result values matched and
+    ``rows`` gives both queries' row counts.
+    """
+
+    agreed: bool = False
+    rows: tuple[int, int] = (0, 0)
+    error: str = ""
 
 
 class EquivalenceChecker:
@@ -66,61 +83,65 @@ class EquivalenceChecker:
     def __init__(
         self, databases: Iterable = (), recorder=None, cache_size: int = 256
     ) -> None:
-        self._databases = list(databases)
-        self._cache_size = cache_size
-        self._sessions: list | None = None
+        from repro.db.planner import ExecutorSession  # lazy imports:
+        from repro.db.storage import Database  # db depends on sql
+
         if recorder is None:
             from repro.perf.instrumentation import PerfRecorder
 
             recorder = PerfRecorder()
         self.recorder = recorder
+        self._arms = [
+            ExecutorSession(arm, cache_size=cache_size, recorder=recorder)
+            if isinstance(arm, Database)
+            else arm
+            for arm in databases
+        ]
 
-    def _probe_sessions(self) -> list:
-        """Build one cached executor session per probe database."""
-        if self._sessions is None:
-            from repro.adapters.base import BackendAdapter  # lazy imports:
-            from repro.db.planner import ExecutorSession  # db depends on sql
+    def probe(
+        self, left: Query, right: Query, bound: Iterable | None = None
+    ) -> Iterator[ProbeRun]:
+        """Run both queries on each probe arm in turn; one outcome per arm.
 
-            self._sessions = [
-                database
-                if isinstance(database, (ExecutorSession, BackendAdapter))
-                else ExecutorSession(
-                    database,
-                    cache_size=self._cache_size,
-                    recorder=self.recorder,
-                )
-                for database in self._databases
-            ]
-        return self._sessions
+        ``bound``, when given, holds the ``(left, right)`` pair to run
+        on each arm instead (the oracle binds placeholders to each
+        probe database's own constants); probing stops after its last
+        pair.  Result values are compared as multisets, in order only
+        when both queries order their output.
+        """
+        order_sensitive = bool(left.order_by) and bool(right.order_by)
+        pairs = itertools.repeat((left, right)) if bound is None else bound
+        for arm, (left_query, right_query) in zip(self._arms, pairs):
+            try:
+                left_rows = arm.execute(left_query)
+                right_rows = arm.execute(right_query)
+            except ReproError as exc:
+                # Outside the executable subset (or another schema's
+                # query): this arm can neither agree nor disagree.
+                yield ProbeRun(error=str(exc))
+                continue
+            yield ProbeRun(
+                agreed=_results_match(left_rows, right_rows, order_sensitive),
+                rows=(len(left_rows), len(right_rows)),
+            )
 
     def equivalent(self, left: Query, right: Query) -> bool:
-        """Whether ``left`` and ``right`` are semantically equivalent."""
+        """Structurally equivalent, or every probe arm (at least one)
+        executed both queries and agreed."""
         if structurally_equivalent(left, right):
             return True
-        if not self._databases:
-            return False
-
-        order_sensitive = bool(left.order_by) and bool(right.order_by)
         agreed = False
-        for session in self._probe_sessions():
-            try:
-                left_rows = session.execute(left)
-                right_rows = session.execute(right)
-            except (ExecutionError, ReproError):
-                # A query outside the executable subset (or referencing
-                # other schemas) cannot be certified by execution.
-                return False
-            if not _results_match(left_rows, right_rows, order_sensitive):
+        for run in self.probe(left, right):
+            if not run.agreed:
                 return False
             agreed = True
         return agreed
 
     def perf_report(self) -> dict:
         """Executor stage timings + cache counters over all probes."""
-        sessions = self._sessions or []
         # Adapter probes have no result cache; count them as zero.
-        hits = sum(getattr(s, "cache_hits", 0) for s in sessions)
-        misses = sum(getattr(s, "cache_misses", 0) for s in sessions)
+        hits = sum(getattr(arm, "cache_hits", 0) for arm in self._arms)
+        misses = sum(getattr(arm, "cache_misses", 0) for arm in self._arms)
         total = hits + misses
         return {
             "stages": self.recorder.report(),

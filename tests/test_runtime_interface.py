@@ -51,6 +51,14 @@ class TestDBPalFacade:
         assert "model input" in text
         assert "final SQL" in text
 
+    def test_default_backend_is_the_planned_session(self, retrieval_nlidb, patients_db):
+        # One execution target: without a named backend, ``execute``
+        # runs on the facade's own session and returns its rows exactly.
+        nlidb = DBPal(patients_db, retrieval_nlidb.model)
+        assert nlidb.backend is nlidb.executor
+        query = nlidb.translate("how many patients are there").query
+        assert nlidb.execute(query) == nlidb.executor.execute(query)
+
     def test_max_rows(self, retrieval_nlidb):
         rows = retrieval_nlidb.query("show me all patients", max_rows=3)
         assert len(rows) <= 3

@@ -1,8 +1,8 @@
 """Self-lint: the analyzer's house rules applied to our own source.
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
-three rules that have each caused real bugs in serving stacks, plus two
-layering rules:
+three rules that have each caused real bugs in serving stacks, plus
+four layering rules:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -18,9 +18,15 @@ layering rules:
   :mod:`repro.sql.canonical` for the serving benchmark; library code
   imports the canonicalizer directly.
 * **no naive executor in ``serving/`` or ``runtime/``** — runtime SQL
-  runs through ``DBPal.execute`` (the configured backend, else the
-  planned session); :func:`repro.db.executor.execute` is the
+  runs through ``DBPal.execute`` (``DBPal.backend``, the planned
+  session by default); :func:`repro.db.executor.execute` is the
   differential-test oracle only.
+* **no private name imported across packages** — an underscore name
+  (``_results_match``) is private to its package (``repro.sql``,
+  ``repro.db``, …); a module in another package imports only public
+  names, so a private helper can change without breaking a caller it
+  never knew about.  ``import … as _alias`` stays allowed: the alias is
+  the importer's own name.
 * **no module-level ``scipy`` or ``networkx`` imports** — together they
   would be most of ``import repro``'s resident memory.  Only
   ``WordEmbeddings.fit`` needs scipy, and it imports it inside the
@@ -160,6 +166,52 @@ def test_no_naive_executor_on_runtime_paths():
     assert _findings(check, packages=("serving", "runtime")) == []
 
 
+def _package_of(module: str) -> str:
+    """``repro.sql.equivalence`` -> ``repro.sql``; top-level modules
+    (``repro.errors``) are their own package."""
+    return ".".join(module.split(".")[:2])
+
+
+def _private_cross_package_imports(source: str, module: str) -> list[str]:
+    """Underscore names ``module``'s source imports from another
+    ``repro`` package (dunder names such as ``__version__`` are public)."""
+    findings = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        target = node.module or ""
+        if node.level:
+            base = module.split(".")[: -node.level]
+            target = ".".join(base + ([target] if target else []))
+        if target.split(".")[0] != "repro":
+            continue
+        if _package_of(target) == _package_of(module):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not name.endswith("__"):
+                findings.append(f"{node.lineno}: {target}.{name}")
+    return findings
+
+
+def _module_name(path: Path) -> str:
+    # A package's ``__init__`` keeps its name part, so that a relative
+    # import's first level strips it and lands on the package.
+    return ".".join(path.relative_to(SRC_ROOT.parent).with_suffix("").parts)
+
+
+def test_no_private_imports_across_packages():
+    findings = [
+        f"{path.relative_to(SRC_ROOT.parent)}:{finding} — make it public "
+        "or keep it in its package"
+        for path in repro_modules()
+        for finding in _private_cross_package_imports(
+            path.read_text(encoding="utf-8"), _module_name(path)
+        )
+    ]
+    assert findings == []
+
+
 HEAVY_MODULES = ("scipy", "networkx")
 
 
@@ -295,6 +347,28 @@ class TestLintRulesDetect:
     def test_naive_executor_import_rule(self, source, bad):
         node = ast.parse(source).body[0]
         assert _imports_naive_executor(node) is bad
+
+    @pytest.mark.parametrize(
+        "source, module, bad",
+        [
+            ("from repro.sql.equivalence import _results_match\n", "repro.analysis.x", True),
+            ("from repro.sql import ast, _private\n", "repro.analysis.x", True),
+            ("from repro.errors import _code\n", "repro.cli", True),
+            ("from ..sql.edits import _map_query\n", "repro.runtime.postprocess", True),
+            ("def f():\n    from repro.db import _helper\n", "repro.sql.x", True),
+            ("from repro.db.executor import _star_label\n", "repro.db.vectorized", False),
+            ("from .executor import _star_label\n", "repro.db.vectorized", False),
+            ("from .planner import _cost\n", "repro.db.__init__", False),
+            ("from ..sql import _helper\n", "repro.db.__init__", True),
+            ("from repro.sql.edits import map_placeholders\n", "repro.analysis.x", False),
+            ("import repro.sql.ast as _ast\n", "repro.analysis.x", False),
+            ("from repro.sql import ast as _ast\n", "repro.analysis.x", False),
+            ("from repro import __version__\n", "repro.cli", False),
+            ("from numpy import _globals\n", "repro.db.vectorized", False),
+        ],
+    )
+    def test_private_import_rule(self, source, module, bad):
+        assert bool(_private_cross_package_imports(source, module)) is bad
 
     @pytest.mark.parametrize(
         "source, bad",

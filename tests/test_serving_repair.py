@@ -25,6 +25,7 @@ from repro.core.faults import (
 )
 from repro.db import populate
 from repro.db.index import ValueIndex
+from repro.db.planner import ExecutorSession
 from repro.errors import (
     E_REPAIR_BUDGET,
     E_REPAIR_EXEC,
@@ -257,6 +258,33 @@ class TestPipelineOutcomes:
         assert report.trace.error_code == E_REPAIR_EXEC
         assert report.sql == "SELECT nmae FROM patients"
 
+    def test_all_null_row_loses_to_a_later_candidate_with_rows(self, patients_db):
+        # ``MAX(nage)`` is contested: MAX(name) first, MAX(age) runner-up.
+        # A row whose every value is NULL answers nothing, so the first
+        # candidate ranks empty and the runner-up that returns a value
+        # wins.
+        class Scripted:
+            def __init__(self):
+                self.executed = []
+
+            def execute(self, query, max_rows=None):
+                sql = to_sql(query)
+                self.executed.append(sql)
+                label = sql[len("SELECT ") : sql.index(" FROM")]
+                return [{label: None if "name" in label else 80}]
+
+        adapter = Scripted()
+        pipe = make_pipeline(patients_db, adapter=adapter)
+        report = pipe.run(parse("SELECT MAX(nage) FROM patients"))
+        assert adapter.executed == [
+            "SELECT MAX(name) FROM patients",
+            "SELECT MAX(age) FROM patients",
+        ]
+        verdicts = [e["verdict"] for e in report.trace.to_dict()["executions"]]
+        assert verdicts == ["empty", "ok"]
+        assert report.outcome == "repaired" and report.verified
+        assert report.sql == "SELECT MAX(age) FROM patients"
+
     def test_no_adapter_serves_unverified(self, patients_db):
         pipe = make_pipeline(patients_db, adapter=None)
         report = pipe.run(parse("SELECT nmae FROM patients"))
@@ -375,6 +403,33 @@ class TestServiceIntegration:
         record = response.to_dict()
         assert record["repair"]["outcome"] == "repaired"
         json.dumps(record)  # trace must be JSON-ready
+
+    def test_repair_executes_on_the_facade_session(self, patients_db, monkeypatch):
+        # The repair arm is DBPal.backend itself (the facade's planned
+        # session by default), not a second adapter wrapped around it.
+        import repro.runtime.interface as interface
+
+        class RecordingSession(ExecutorSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.executed = []
+
+            def execute(self, query, max_rows=None, use_cache=True):
+                self.executed.append((to_sql(query), max_rows))
+                return super().execute(query, max_rows=max_rows, use_cache=use_cache)
+
+        monkeypatch.setattr(interface, "ExecutorSession", RecordingSession)
+        service, _ = make_service(patients_db, sql="SELECT nmae FROM patients")
+        session = service.nlidb.executor
+        assert isinstance(session, RecordingSession)
+        with service:
+            response = service.translate("show the name of every patient")
+        assert response.repair["outcome"] == "repaired"
+        assert response.repair["verified"]
+        assert service._repair.adapter is session
+        assert session.executed == [
+            ("SELECT name FROM patients", service.config.repair_max_rows)
+        ]
 
     def test_response_with_trace_pickles(self, patients_db):
         # Sharded serving ships responses through a process pipe.
