@@ -42,6 +42,7 @@ import threading
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Sequence
 
 from repro.db.executor import (
@@ -530,6 +531,35 @@ def _hash_join(
 # ----------------------------------------------------------------------
 
 
+class _CachedResult:
+    """One cached result: its column labels and a tuple of values per row.
+
+    A 3,612-row one-column join costs a 1-tuple and a list slot per row
+    instead of a dict per row.  Every planner row of one result has the
+    same keys in the same order (the projection builds them from the
+    query alone), so the first row's keys label them all.
+    """
+
+    __slots__ = ("labels", "values")
+
+    def __init__(self, labels: tuple[str, ...], values: list[tuple]) -> None:
+        self.labels = labels
+        self.values = values
+
+    @classmethod
+    def pack(cls, rows: list[Row]) -> "_CachedResult":
+        labels = tuple(rows[0]) if rows else ()
+        return cls(labels, [tuple(row.values()) for row in rows])
+
+    def rows(self, max_rows: int | None) -> list[Row]:
+        """Fresh dicts for the first ``max_rows`` rows (all when None)."""
+        values = self.values[:max_rows]
+        if len(self.labels) == 1:
+            (label,) = self.labels
+            return [{label: value} for (value,) in values]
+        return list(map(dict, map(zip, repeat(self.labels), values)))
+
+
 class ExecutorSession:
     """A reusable execution context over one database.
 
@@ -553,7 +583,7 @@ class ExecutorSession:
         self.value_index = value_index
         self.recorder = recorder if recorder is not None else PerfRecorder()
         self._cache_size = cache_size
-        self._cache: OrderedDict[tuple, list[Row]] = OrderedDict()
+        self._cache: OrderedDict[tuple, _CachedResult] = OrderedDict()
         # Guards the cache and its counters; never held while executing.
         self._cache_lock = threading.Lock()
         # Printed SQL -> canonical_sql, bounded like ``_cache``.  Pure, so
@@ -591,11 +621,13 @@ class ExecutorSession:
         queries of an eval report) share one execution.  The key also
         holds the query's own SELECT labels and FROM order, which
         canonical SQL drops or sorts but which name the output columns
-        and order the rows.  Returned rows are fresh dict copies —
+        and order the rows.  An entry holds the result once, as its
+        column labels and one tuple of values per row.  Every call
+        returns fresh dicts for only the first ``max_rows`` rows —
         callers may mutate them freely.  Safe to call from many threads.
         """
         self._check_version()
-        rows = None
+        cached = None
         key = None
         if use_cache and self._cache_size > 0:
             key = (
@@ -604,21 +636,24 @@ class ExecutorSession:
                 tuple(query.from_tables),
             )
             with self._cache_lock:
-                rows = self._cache.get(key)
-                if rows is None:
+                cached = self._cache.get(key)
+                if cached is None:
                     self.cache_misses += 1
                 else:
                     self.cache_hits += 1
                     self._cache.move_to_end(key)
-        if rows is None:
-            rows = execute_planned(query, self.database, session=self)
-            if key is not None:
-                with self._cache_lock:
-                    self._cache[key] = rows
-                    while len(self._cache) > self._cache_size:
-                        self._cache.popitem(last=False)
-        copied = [dict(row) for row in rows]
-        return copied[:max_rows] if max_rows is not None else copied
+        if cached is not None:
+            return cached.rows(max_rows)
+        rows = execute_planned(query, self.database, session=self)
+        if key is not None:
+            cached = _CachedResult.pack(rows)
+            with self._cache_lock:
+                self._cache[key] = cached
+                while len(self._cache) > self._cache_size:
+                    self._cache.popitem(last=False)
+        # The planner built these dicts for this call and the cache holds
+        # none of them, so they go out as they are.
+        return rows[:max_rows]
 
     def _canonical_sql(self, query: Query) -> str:
         text = to_sql(query)

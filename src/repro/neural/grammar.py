@@ -618,12 +618,16 @@ class GrammarMask:
                 self._symbols[index] = END
             elif token in (PAD, BOS, UNK):
                 self._symbols[index] = "__special__"
+        # Allowed-symbol set -> read-only vocabulary mask.
+        self._masks: dict[frozenset[str], np.ndarray] = {}
 
     def mask_for(self, decoded: list[str]) -> np.ndarray | None:
         """Boolean vocab mask for the next token after ``decoded``.
 
         Returns None (no constraint) if the prefix itself is invalid —
-        defensive, should not happen when decoding under the mask.
+        defensive, should not happen when decoding under the mask.  The
+        mask is shared by every prefix with the same allowed symbols, so
+        it is read-only.
         """
         automaton = SqlDecodingAutomaton()
         try:
@@ -632,4 +636,9 @@ class GrammarMask:
         except GrammarViolation:
             return None
         allowed = automaton.allowed_symbols()
-        return np.array([s in allowed for s in self._symbols])
+        mask = self._masks.get(allowed)
+        if mask is None:
+            mask = np.array([s in allowed for s in self._symbols])
+            mask.flags.writeable = False
+            self._masks[allowed] = mask
+        return mask

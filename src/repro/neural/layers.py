@@ -21,12 +21,10 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: each side
+    # gets the overflow-free form of the logistic, with no masked copies.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -94,8 +92,8 @@ class GRUCell(Layer):
         H = self.hidden_dim
         xg = x @ self.params["Wx"] + self.params["b"]
         hg = h_prev @ self.params["Wh"]
-        r = sigmoid(xg[:, :H] + hg[:, :H])
-        z = sigmoid(xg[:, H : 2 * H] + hg[:, H : 2 * H])
+        rz = sigmoid(xg[:, : 2 * H] + hg[:, : 2 * H])
+        r, z = rz[:, :H], rz[:, H:]
         n = np.tanh(xg[:, 2 * H :] + r * hg[:, 2 * H :])
         h_new = (1.0 - z) * n + z * h_prev
         cache = (x, h_prev, hg, r, z, n)

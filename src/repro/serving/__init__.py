@@ -12,13 +12,14 @@ The sharded tier scales that service horizontally: ``ShardedService``
 forks N shared-nothing replicas and routes requests over a
 consistent-hash ring keyed on the anonymized question, so each cache
 key lives on exactly one shard.  See DESIGN.md §"Sharded serving tier".
+``ShardedService`` is loaded on first use: its front door runs on
+asyncio, which (with ssl) a single in-process service never needs.
 """
 
 from repro.serving.batcher import BatchRequest, MicroBatcher
 from repro.serving.cache import CacheHit, TranslationCache
 from repro.serving.config import ServingConfig, ShardedConfig
 from repro.serving.fallback import KeywordFallback
-from repro.serving.front_door import ShardedService
 from repro.serving.hashring import HashRing
 from repro.serving.limits import CircuitBreaker, TokenBucket
 from repro.serving.metrics import MetricsRegistry, merge_shard_stats, percentile
@@ -61,3 +62,11 @@ __all__ = [
     "merge_shard_stats",
     "percentile",
 ]
+
+
+def __getattr__(name: str):
+    if name == "ShardedService":
+        from repro.serving.front_door import ShardedService
+
+        return ShardedService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -185,9 +185,20 @@ _DEFAULT_PRINTER = SqlPrinter("default")
 
 
 def to_sql(query: Query, dialect: str | Dialect = "default") -> str:
-    """Render ``query`` as a single-line SQL string in ``dialect``."""
+    """Render ``query`` as a single-line SQL string in ``dialect``.
+
+    The default-dialect text is memoized in the query's ``__dict__``
+    (fields stay frozen), as ``TrainingPair`` memoizes its SQL: one
+    served answer is printed by post-processing, the repair loop and the
+    executor's cache key.  Every AST node is frozen and holds only
+    tuples, so the text cannot go stale; other dialects never read it.
+    """
     if dialect == "default":
-        return _DEFAULT_PRINTER.query(query)
+        memo = query.__dict__
+        text = memo.get("_default_sql")
+        if text is None:
+            text = memo["_default_sql"] = _DEFAULT_PRINTER.query(query)
+        return text
     return SqlPrinter(dialect).query(query)
 
 

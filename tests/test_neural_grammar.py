@@ -141,3 +141,32 @@ class TestGrammarMask:
     def test_invalid_prefix_returns_none(self):
         gm = GrammarMask(self.make_vocab())
         assert gm.mask_for(["FROM", "FROM"]) is None
+
+    def test_one_read_only_mask_per_allowed_symbol_set(self):
+        vocab = self.make_vocab()
+        gm = GrammarMask(vocab)
+        prefixes = [
+            [],
+            ["SELECT"],
+            ["SELECT", "name"],
+            ["SELECT", "age"],
+            ["SELECT", "*", "FROM"],
+            ["SELECT", "*", "FROM", "t"],
+            ["SELECT", "*", "FROM", "t", "WHERE", "age", "="],
+        ]
+        for prefix in prefixes:
+            mask = gm.mask_for(prefix)
+            automaton = SqlDecodingAutomaton()
+            for token in prefix:
+                automaton.advance(token)
+            allowed = automaton.allowed_symbols()
+            expected = [classify(t) in allowed for t in vocab.tokens]
+            expected[vocab.eos_id] = END in allowed
+            for special in (vocab.pad_id, vocab.bos_id, vocab.unk_id):
+                expected[special] = False
+            assert mask.tolist() == expected
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = True
+        # Columns of one kind leave the same symbols allowed.
+        assert gm.mask_for(["SELECT", "name"]) is gm.mask_for(["SELECT", "age"])

@@ -44,6 +44,24 @@ class TestPrimitives:
         assert y[-1] == pytest.approx(1.0, abs=1e-12)
         assert y[2] == pytest.approx(0.5)
 
+    def test_sigmoid_bit_identical_to_the_masked_two_pass_form(self):
+        def two_pass(x):
+            out = np.empty_like(x)
+            positive = x >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+            exp_x = np.exp(x[~positive])
+            out[~positive] = exp_x / (1.0 + exp_x)
+            return out
+
+        rng = np.random.default_rng(11)
+        for scale in (0.5, 4.0, 40.0, 800.0):
+            for shape in ((1, 192), (7, 192), (3, 5)):
+                x = rng.normal(size=shape) * scale
+                x.flat[:4] = (0.0, -0.0, 745.0, -745.0)
+                assert np.array_equal(
+                    sigmoid(x).view(np.int64), two_pass(x).view(np.int64)
+                )
+
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(0).normal(size=(4, 7))
         s = softmax(x)
@@ -115,6 +133,20 @@ class TestGRUCell:
         cell = GRUCell(4, 6, np.random.default_rng(0))
         h, _cache = cell.forward(np.zeros((3, 4)), np.zeros((3, 6)))
         assert h.shape == (3, 6)
+
+    def test_fused_gates_match_one_sigmoid_per_gate(self):
+        rng = np.random.default_rng(5)
+        cell = GRUCell(4, 6, rng)
+        x, h_prev = rng.normal(size=(3, 4)), rng.normal(size=(3, 6))
+        H = 6
+        xg = x @ cell.params["Wx"] + cell.params["b"]
+        hg = h_prev @ cell.params["Wh"]
+        r = sigmoid(xg[:, :H] + hg[:, :H])
+        z = sigmoid(xg[:, H : 2 * H] + hg[:, H : 2 * H])
+        n = np.tanh(xg[:, 2 * H :] + r * hg[:, 2 * H :])
+        h_new, cache = cell.forward(x, h_prev)
+        assert np.array_equal(h_new, (1.0 - z) * n + z * h_prev)
+        assert np.array_equal(cache[3], r) and np.array_equal(cache[4], z)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(2)
