@@ -67,6 +67,7 @@ from repro.db.vectorized import (
     should_use_columnar,
 )
 from repro.db.vectorized import available as columnar_available
+from repro.errors import ExecutionError
 from repro.perf.instrumentation import PerfRecorder
 from repro.sql.ast import (
     And,
@@ -560,13 +561,36 @@ class _CachedResult:
         return list(map(dict, map(zip, repeat(self.labels), values)))
 
 
+class _CachedFailure:
+    """One remembered :class:`~repro.errors.ExecutionError`.
+
+    Holds the printed SQL that raised it and what a fresh copy of the
+    error needs: its class, ``args`` and ``code``.  :meth:`rows` stands
+    in for :meth:`_CachedResult.rows` on a hit and raises that copy.
+    """
+
+    __slots__ = ("sql", "error_type", "args", "code")
+
+    def __init__(self, sql: str, error: ExecutionError) -> None:
+        self.sql = sql
+        self.error_type = type(error)
+        self.args = error.args
+        self.code = error.code
+
+    def rows(self, max_rows: int | None) -> list[Row]:
+        """Raise a fresh copy of the error, whatever ``max_rows`` is: the
+        session runs every query unsliced, so slicing cannot avoid it."""
+        raise self.error_type(*self.args, code=self.code)
+
+
 class ExecutorSession:
     """A reusable execution context over one database.
 
     Holds lazily built per-column equality hash indexes, an optional
     :class:`~repro.db.index.ValueIndex` used to prune equality scans
     whose constant cannot appear in the column, a bounded LRU result
-    cache keyed on canonical SQL, and a :class:`PerfRecorder` with
+    cache keyed on canonical SQL (which remembers execution errors as
+    well as results), and a :class:`PerfRecorder` with
     scan/join/filter/group/sort stage timings.  All caches observe
     :attr:`Database.version` and reset when rows are inserted.
     """
@@ -583,7 +607,9 @@ class ExecutorSession:
         self.value_index = value_index
         self.recorder = recorder if recorder is not None else PerfRecorder()
         self._cache_size = cache_size
-        self._cache: OrderedDict[tuple, _CachedResult] = OrderedDict()
+        self._cache: OrderedDict[tuple, _CachedResult | _CachedFailure] = (
+            OrderedDict()
+        )
         # Guards the cache and its counters; never held while executing.
         self._cache_lock = threading.Lock()
         # Printed SQL -> canonical_sql, bounded like ``_cache``.  Pure, so
@@ -624,19 +650,29 @@ class ExecutorSession:
         and order the rows.  An entry holds the result once, as its
         column labels and one tuple of values per row.  Every call
         returns fresh dicts for only the first ``max_rows`` rows —
-        callers may mutate them freely.  Safe to call from many threads.
+        callers may mutate them freely.
+
+        An :class:`~repro.errors.ExecutionError` is remembered too, with
+        the printed SQL that raised it: a later call with the same text
+        raises a fresh copy (same class, message and ``code``) without
+        planning or running anything.  A canonically equal query printed
+        differently runs, and its outcome replaces the entry.  Other
+        exceptions are never remembered.  Safe to call from many threads.
         """
         self._check_version()
         cached = None
         key = None
         if use_cache and self._cache_size > 0:
+            text = to_sql(query)
             key = (
-                self._canonical_sql(query),
+                self._canonical_sql(query, text),
                 tuple(str(item) for item in query.select),
                 tuple(query.from_tables),
             )
             with self._cache_lock:
                 cached = self._cache.get(key)
+                if type(cached) is _CachedFailure and cached.sql != text:
+                    cached = None
                 if cached is None:
                     self.cache_misses += 1
                 else:
@@ -644,19 +680,25 @@ class ExecutorSession:
                     self._cache.move_to_end(key)
         if cached is not None:
             return cached.rows(max_rows)
-        rows = execute_planned(query, self.database, session=self)
+        try:
+            rows = execute_planned(query, self.database, session=self)
+        except ExecutionError as error:
+            if key is not None:
+                self._remember(key, _CachedFailure(text, error))
+            raise
         if key is not None:
-            cached = _CachedResult.pack(rows)
-            with self._cache_lock:
-                self._cache[key] = cached
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
+            self._remember(key, _CachedResult.pack(rows))
         # The planner built these dicts for this call and the cache holds
         # none of them, so they go out as they are.
         return rows[:max_rows]
 
-    def _canonical_sql(self, query: Query) -> str:
-        text = to_sql(query)
+    def _remember(self, key: tuple, entry: _CachedResult | _CachedFailure) -> None:
+        with self._cache_lock:
+            self._cache[key] = entry
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+
+    def _canonical_sql(self, query: Query, text: str) -> str:
         with self._cache_lock:
             canonical = self._canonical.get(text)
             if canonical is not None:

@@ -62,3 +62,21 @@ def retrieval_nlidb(patients_db):
     nlidb = DBPal(patients_db)
     nlidb.train(RetrievalModel(), config=GenerationConfig(size_slotfills=4), seed=0)
     return nlidb
+
+
+@pytest.fixture
+def planner_runs(monkeypatch):
+    """The printed SQL of every call an ``ExecutorSession`` makes into
+    the planner, in order."""
+    from repro.db import planner
+    from repro.sql.printer import to_sql
+
+    execute_planned = planner.execute_planned
+    runs = []
+
+    def counting(query, database, **kwargs):
+        runs.append(to_sql(query))
+        return execute_planned(query, database, **kwargs)
+
+    monkeypatch.setattr(planner, "execute_planned", counting)
+    return runs

@@ -9,22 +9,32 @@ Patients and Spider-substitute benchmark sets, and no mutation of a
 returned row or list reaches a later result.  A ``tracemalloc`` check
 pins the point of the representation: a large join's entry retains
 well under what a list of row dicts would.
+
+The session also remembers an ``ExecutionError`` with the printed SQL
+that raised it.  The failure-cache tests pin that a replay raises a
+fresh error of the same class, message and code without running the
+planner, and that text changes, inserts, disabled caching and other
+exceptions all go through execution as before.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
+import threading
+import traceback
 import tracemalloc
 
 import pytest
 
 from repro.analysis.equivalence import _ConstantBinder
 from repro.bench import build_patients_benchmark, spider_test_workload
-from repro.db import populate
+from repro.db import planner, populate
 from repro.db.planner import ExecutorSession, execute_planned
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.runtime.postprocess import PostProcessor, _transform_query
 from repro.schema import load_schema
+from repro.sql.canonical import canonical_sql
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 
@@ -91,7 +101,7 @@ def test_cached_equals_uncached_on_miss_and_hit(databases, benchmark_queries, ma
         expected, error = _uncached(query, database)
         session = ExecutorSession(database)
         if error is not None:
-            for _attempt in ("miss", "miss again"):
+            for _attempt in ("miss", "hit"):
                 with pytest.raises(ReproError) as info:
                     session.execute(query, max_rows=max_rows)
                 assert str(info.value) == error
@@ -161,3 +171,189 @@ def test_cached_join_retains_under_half_of_its_row_dicts(databases):
         tracemalloc.stop()
     assert len(as_dicts) == 3612
     assert cached < dicts / 2, (cached, dicts)
+
+
+# ----------------------------------------------------------------------
+# Remembered failures
+# ----------------------------------------------------------------------
+
+
+def _failure(run):
+    with pytest.raises(ReproError) as info:
+        run()
+    return info.value
+
+
+def _identity(error):
+    return type(error), str(error), error.code
+
+
+def _failing(databases, benchmark_queries):
+    failing = []
+    for schema_name, query in benchmark_queries:
+        database = databases[schema_name]
+        try:
+            execute_planned(query, database)
+        except ExecutionError as error:
+            failing.append((database, query, _identity(error)))
+    return failing
+
+
+def test_a_repeated_failure_replays_without_running(
+    databases, benchmark_queries, planner_runs
+):
+    failing = _failing(databases, benchmark_queries)
+    assert len(failing) >= 10
+    for database, query, expected in failing:
+        session = ExecutorSession(database)
+        first = _failure(lambda: session.execute(query))
+        assert _identity(first) == expected, to_sql(query)
+        entries = session.stats()["cache_size"]
+        runs, hits, misses = len(planner_runs), session.cache_hits, session.cache_misses
+        # The session runs every query unsliced, so no max_rows avoids it.
+        for max_rows in (None, 0, 1, 100):
+            replay = _failure(lambda: session.execute(query, max_rows=max_rows))
+            assert _identity(replay) == expected, to_sql(query)
+            assert replay is not first
+        assert len(planner_runs) == runs, to_sql(query)
+        assert (session.cache_hits, session.cache_misses) == (hits + 4, misses)
+        assert session.stats()["cache_size"] == entries
+
+
+def test_each_replay_raises_a_new_error_with_a_flat_traceback():
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    query = parse("SELECT name FROM patients WHERE age = @AGE")
+    session = ExecutorSession(database)
+    errors = [_failure(lambda: session.execute(query)) for _attempt in range(101)]
+    assert session.cache_hits == 100
+    assert len({id(error) for error in errors}) == len(errors)
+    assert len({str(error) for error in errors}) == 1
+    # The first raise unwinds from inside the planner; every replay
+    # raises from the session, at one depth that does not grow.
+    replays = {len(traceback.extract_tb(e.__traceback__)) for e in errors[1:]}
+    assert len(replays) == 1
+    assert all(error.__context__ is None for error in errors[1:])
+
+
+def test_a_reordered_query_with_the_same_key_runs(planner_runs):
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    age_first = parse("SELECT name FROM patients WHERE age = @AGE AND gender = @GENDER")
+    gender_first = parse("SELECT name FROM patients WHERE gender = @GENDER AND age = @AGE")
+    assert canonical_sql(age_first) == canonical_sql(gender_first)
+    session = ExecutorSession(database)
+    # The unresolved-placeholder message names the first placeholder,
+    # so the two texts fail differently under one cache key.
+    assert "@AGE" in str(_failure(lambda: session.execute(age_first)))
+    assert "@GENDER" in str(_failure(lambda: session.execute(gender_first)))
+    assert "@GENDER" in str(_failure(lambda: session.execute(gender_first)))
+    assert "@AGE" in str(_failure(lambda: session.execute(age_first)))
+    assert planner_runs == [to_sql(age_first), to_sql(gender_first), to_sql(age_first)]
+    assert (session.cache_misses, session.cache_hits) == (3, 1)
+    assert session.stats()["cache_size"] == 1
+
+
+def test_an_insert_forgets_a_failure():
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    # AVG over names fails whenever a row survives the constant filter.
+    query = parse(
+        "SELECT AVG(name) FROM patients "
+        "WHERE NOT EXISTS (SELECT * FROM patients WHERE age = 999)"
+    )
+    session = ExecutorSession(database)
+    for _attempt in ("miss", "hit"):
+        assert "non-numeric" in str(_failure(lambda: session.execute(query)))
+    row = dict(database.scan("patients")[0], patient_id=999, age=999)
+    database.insert("patients", row)
+    assert session.execute(query) == execute_planned(query, database)
+    assert session.execute(query) == [{"AVG(name)": None}]
+
+
+@pytest.mark.parametrize(
+    "use_cache, cache_size", [(False, 256), (True, 0)], ids=["use_cache", "size0"]
+)
+def test_disabled_caching_never_remembers_a_failure(planner_runs, use_cache, cache_size):
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    query = parse("SELECT name FROM patients WHERE age = @AGE")
+    session = ExecutorSession(database, cache_size=cache_size)
+    messages = {
+        str(_failure(lambda: session.execute(query, use_cache=use_cache)))
+        for _attempt in range(3)
+    }
+    assert len(messages) == 1
+    assert len(planner_runs) == 3
+    assert session.stats()["cache_size"] == 0
+    assert session.cache_hits == 0
+
+
+def test_other_exceptions_are_not_remembered(monkeypatch):
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    query = parse("SELECT name FROM patients WHERE age = @AGE")
+    calls = []
+
+    def flaky(query, database, **kwargs):
+        calls.append(query)
+        if len(calls) == 1:
+            raise RuntimeError("injected planner crash")
+        return execute_planned(query, database, **kwargs)
+
+    monkeypatch.setattr(planner, "execute_planned", flaky)
+    session = ExecutorSession(database)
+    with pytest.raises(RuntimeError):
+        session.execute(query)
+    assert session.stats()["cache_size"] == 0
+    with pytest.raises(ExecutionError, match="@AGE"):
+        session.execute(query)
+    with pytest.raises(ExecutionError, match="@AGE"):
+        session.execute(query)
+    assert len(calls) == 2
+    assert (session.cache_misses, session.cache_hits) == (2, 1)
+
+
+def test_a_replay_keeps_the_error_code(monkeypatch):
+    # No executor error carries a code today; the replay must keep one.
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    query = parse("SELECT name FROM patients")
+    calls = []
+
+    def coded(query, database, **kwargs):
+        calls.append(query)
+        raise ExecutionError("injected", "failure", code="E_INJECTED")
+
+    monkeypatch.setattr(planner, "execute_planned", coded)
+    session = ExecutorSession(database)
+    errors = [_failure(lambda: session.execute(query)) for _attempt in range(3)]
+    assert len(calls) == 1
+    assert {(e.args, e.code) for e in errors} == {(("injected", "failure"), "E_INJECTED")}
+
+
+def test_threads_replaying_one_failure_all_raise_it():
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    query = parse("SELECT name FROM patients WHERE age = @AGE")
+    session = ExecutorSession(database)
+    barrier = threading.Barrier(8)
+    messages, lock = [], threading.Lock()
+
+    def worker():
+        barrier.wait(timeout=30)
+        for _attempt in range(25):
+            try:
+                session.execute(query)
+            except ExecutionError as error:
+                with lock:
+                    messages.append(str(error))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(messages) == 200
+    assert set(messages) == {str(_failure(lambda: execute_planned(query, database)))}
+    assert session.cache_hits + session.cache_misses == 200
+    assert session.stats()["cache_size"] == 1

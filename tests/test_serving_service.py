@@ -11,7 +11,7 @@ import pytest
 
 from repro.adapters import MemoryAdapter, normalize_rows
 from repro.db.executor import execute
-from repro.errors import ReproError, TranslationError
+from repro.errors import ExecutionError, ReproError, TranslationError
 from repro.neural.base import TranslationModel
 from repro.runtime import DBPal
 from repro.serving import ServingConfig, TranslationService
@@ -564,6 +564,33 @@ class TestExecutionPath:
             service.query(QUESTIONS[1])
         session = service.nlidb.executor
         assert (session.cache_misses, session.cache_hits) == (1, 1)
+
+    @pytest.mark.parametrize("backend", [None, "sqlite"])
+    def test_a_repeated_failing_answer_raises_every_time(
+        self, patients_db, planner_runs, backend
+    ):
+        class PlaceholderModel(ScriptedModel):
+            """Keeps an ``@AGE`` that the question binds to nothing."""
+
+            def translate(self, nl):
+                return "SELECT name FROM patients WHERE age = @AGE"
+
+        nlidb = DBPal(patients_db, PlaceholderModel(), backend=backend)
+        messages = set()
+        with TranslationService(nlidb, ServingConfig(workers=1)) as service:
+            for _attempt in range(50):
+                with pytest.raises(ReproError) as info:
+                    service.query(QUESTIONS[2])
+                messages.add(str(info.value))
+        assert len(messages) == 1
+        if backend is None:
+            assert info.type is ExecutionError
+            assert "@AGE" in info.value.args[0]
+            # Planned once; the session replays the other 49 failures.
+            assert planner_runs == ["SELECT name FROM patients WHERE age = @AGE"]
+            assert nlidb.executor.cache_hits == 49
+        else:
+            assert planner_runs == []
 
     @pytest.mark.parametrize("backend", [None, "sqlite"])
     def test_patients_rows_match_the_oracle(self, patients_db, backend):
