@@ -218,6 +218,14 @@ def compile_select(
             "cannot execute query with unresolved @JOIN placeholder; "
             "run the post-processor first"
         )
+    placeholders = query.placeholders()
+    if placeholders:
+        # sqlite would read ``@AGE`` as a bind parameter and fail on the
+        # binding count; name the placeholder as the memory engine does.
+        raise BackendError(
+            f"cannot execute query with unresolved placeholder "
+            f"@{placeholders[0].name}; run the post-processor first"
+        )
     printer = ExecutableSqlitePrinter(schema, extents)
     dialect = printer.dialect
     grouped = is_aggregate_query(query)

@@ -99,16 +99,9 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
 
     group = parser.add_argument_group("serving parameters")
     for name, default in ServingConfig().to_dict().items():
-        flag = f"--{name.replace('_', '-')}"
-        if isinstance(default, bool):
-            group.add_argument(
-                flag,
-                type=lambda text: text.lower() in ("1", "true", "yes", "on"),
-                default=default,
-                metavar="BOOL",
-            )
-        else:
-            group.add_argument(flag, type=type(default), default=default)
+        group.add_argument(
+            f"--{name.replace('_', '-')}", type=type(default), default=default
+        )
 
 
 def _serving_config_from(args: argparse.Namespace):
@@ -635,11 +628,10 @@ def _print_stage_table(stages: dict) -> None:
           "wall = first entry to last exit):")
     width = max(len(name) for name in stages)
     for name, stats in stages.items():
-        busy = stats.get("busy_seconds", stats.get("seconds", 0.0))
         print(
-            f"    {name:<{width}}  busy {busy:>8.3f}s"
-            f"  wall {stats.get('wall_seconds', 0.0):>8.3f}s"
-            f"  x{stats.get('calls', 0)}"
+            f"    {name:<{width}}  busy {stats['busy_seconds']:>8.3f}s"
+            f"  wall {stats['wall_seconds']:>8.3f}s"
+            f"  x{stats['calls']}"
         )
 
 
@@ -660,7 +652,7 @@ def _print_serve_stats(service, stats: dict, sharded: bool) -> None:
         for name, snap in sorted(stats["shards"].items()):
             print(f"  {name:<12}  requests {snap['requests_total']}"
                   f"  hitrate {snap['cache_hit_rate']:.1%}")
-        _print_stage_table(cluster.get("stages", {}))
+        _print_stage_table(cluster["stages"])
     else:
         print(service.metrics.format_table())
         cache = stats.get("cache")
@@ -676,7 +668,7 @@ def _print_serve_stats(service, stats: dict, sharded: bool) -> None:
                 f" ({counters.get('repair.abandoned', 0)} abandoned,"
                 f" {counters.get('repair.budget_exhausted', 0)} exhausted)"
             )
-        _print_stage_table(stats.get("stages", {}))
+        _print_stage_table(stats["stages"])
         accounting = stats.get("accounting")
         if accounting:
             tag = "consistent" if accounting["consistent"] else "INCONSISTENT"

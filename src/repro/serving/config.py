@@ -52,15 +52,8 @@ class ServingConfig:
         LRU entries in the translation cache (``0`` disables caching).
     cache_ttl:
         Seconds an entry stays fresh (``<= 0`` means never expires).
-    serve_stale_on_degrade:
-        Whether expired cache entries may be served while the model is
-        unavailable (graceful degradation).
-    preprocess_cache_capacity:
-        LRU entries memoizing the pre-processor on the *raw* question
-        string (``0`` disables).  Sound because preprocessing is
-        deterministic over a fixed database; it removes the
-        anonymization cost for repeated identical questions, which
-        dominate real traffic.
+        Expired entries are still served while the model is unavailable
+        (graceful degradation).
 
     Repair (see :mod:`repro.serving.repair`)
     ----------------------------------------
@@ -88,8 +81,6 @@ class ServingConfig:
     cooldown: float = 30.0
     cache_capacity: int = 2048
     cache_ttl: float = 300.0
-    serve_stale_on_degrade: bool = True
-    preprocess_cache_capacity: int = 4096
     repair_attempts: int = 2
     repair_deadline: float = 0.25
     repair_execute_timeout: float = 0.1
@@ -114,8 +105,6 @@ class ServingConfig:
             raise ServingError("cooldown must be >= 0")
         if self.cache_capacity < 0:
             raise ServingError("cache_capacity must be >= 0")
-        if self.preprocess_cache_capacity < 0:
-            raise ServingError("preprocess_cache_capacity must be >= 0")
         if self.repair_attempts < 0:
             raise ServingError("repair_attempts must be >= 0")
         if self.repair_deadline <= 0:

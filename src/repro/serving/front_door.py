@@ -48,13 +48,13 @@ from functools import lru_cache
 from typing import Callable
 
 from repro.errors import ServingError
-from repro.perf.instrumentation import PerfRecorder
 from repro.serving.config import ServingConfig, ShardedConfig
 from repro.serving.hashring import HashRing
 from repro.serving.limits import TokenBucket
-from repro.serving.metrics import MetricsRegistry, merge_shard_stats
+from repro.serving.metrics import STAGES_LEGEND, MetricsRegistry, merge_shard_stats
 from repro.serving.service import (
     ERROR,
+    PREPROCESS_MEMO_SIZE,
     REJECTED,
     SOURCE_NONE,
     ServiceFailure,
@@ -126,9 +126,7 @@ class ShardedService(ServingTier):
         self.spec = spec.with_config(replace(spec.config, rate_limit=0.0))
         self.serving_config = spec.config
         self.metrics = MetricsRegistry()
-        self.recorder = PerfRecorder()
         self._bucket = TokenBucket(spec.config.rate_limit, spec.config.burst)
-        self._recorder_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._wire_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
@@ -167,7 +165,7 @@ class ShardedService(ServingTier):
             # *is* the anonymized question.  One extra replica build in
             # the parent also gives ``query()`` a facade to execute on.
             self.nlidb = self.spec.build()
-            self._preprocess = lru_cache(maxsize=4096)(
+            self._preprocess = lru_cache(maxsize=PREPROCESS_MEMO_SIZE)(
                 self.nlidb.preprocessor.preprocess
             )
             self._dispatch = ThreadPoolExecutor(
@@ -331,16 +329,10 @@ class ShardedService(ServingTier):
                 except Exception:  # noqa: BLE001 — shard died mid-query
                     continue
         front = self.metrics.snapshot()
-        with self._recorder_lock:
-            front["stages"] = self.recorder.report()
         supervisor = {
-            "respawns": self.metrics.counter("supervisor.respawns"),
-            "quarantined": self.metrics.counter("supervisor.quarantined"),
-            "redispatched": self.metrics.counter("supervisor.redispatched"),
-            "failed_requests": self.metrics.counter("supervisor.failed_requests"),
+            name: front["counters"].get(f"supervisor.{name}", 0)
+            for name in ("respawns", "quarantined", "redispatched", "failed_requests")
         }
-        from repro.serving.service import TranslationService
-
         return {
             "replicas": self.config.replicas,
             "front": front,
@@ -348,7 +340,7 @@ class ShardedService(ServingTier):
             "shards": shard_snaps,
             "ring": self._call(self._ring_stats) if self._running else self._ring.stats(),
             "supervisor": supervisor,
-            "stages_legend": dict(TranslationService.STAGES_LEGEND),
+            "stages_legend": dict(STAGES_LEGEND),
             "config": {
                 "sharded": self.config.to_dict(),
                 "serving": self.serving_config.to_dict(),
@@ -363,8 +355,7 @@ class ShardedService(ServingTier):
         try:
             t0 = time.monotonic()
             pre = self._preprocess(pending.nl)
-            with self._recorder_lock:
-                self.recorder.add("preprocess", time.monotonic() - t0)
+            self.metrics.record_stage("preprocess", time.monotonic() - t0)
         except Exception as exc:  # noqa: BLE001 — malformed input
             self._finish(
                 ServingResponse(

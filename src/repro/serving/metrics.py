@@ -1,11 +1,13 @@
-"""Serving observability: counters, latency percentiles, batch histogram.
+"""Serving observability: counters, latency percentiles, batch histogram,
+per-stage timings.
 
 A :class:`MetricsRegistry` is the single sink every serving component
-reports into.  It is deliberately boring — a lock, some counters, a
-bounded latency window — because it sits on the hot path of every
-request.  ``snapshot()`` produces the JSON-ready report surfaced by
-``repro serve --stats`` and written into ``BENCH_serving.json``; every
-derived rate in it is zero-guarded so an idle service snapshots cleanly.
+reports into.  It is deliberately boring — one lock, some counters, a
+bounded latency window, a stage recorder — because it sits on the hot
+path of every request.  ``snapshot()`` produces the JSON-ready report
+surfaced by ``repro serve --stats`` and written into
+``BENCH_serving.json``; every derived rate in it is zero-guarded so an
+idle service snapshots cleanly.
 """
 
 from __future__ import annotations
@@ -14,6 +16,22 @@ import threading
 import time
 from collections import Counter, deque
 from typing import Callable, Sequence
+
+from repro.perf.instrumentation import PerfRecorder
+
+#: What the two per-stage time columns of ``snapshot()["stages"]`` mean
+#: (surfaced verbatim in ``--stats`` / ``--stats-json`` so a
+#: 600%-looking utilization is never misread as a measurement bug).
+STAGES_LEGEND = {
+    "busy_seconds": (
+        "time spent inside the stage summed across all worker "
+        "threads; under concurrency this exceeds wall-clock"
+    ),
+    "wall_seconds": (
+        "wall-clock span from the stage's first entry to its last "
+        "exit; bounded by the service's uptime"
+    ),
+}
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -50,6 +68,7 @@ class MetricsRegistry:
         self._counters: Counter[str] = Counter()
         self._latencies: deque[float] = deque(maxlen=latency_window)
         self._batch_sizes: Counter[int] = Counter()
+        self._stages = PerfRecorder()
 
     # ------------------------------------------------------------------
     # Recording
@@ -80,6 +99,11 @@ class MetricsRegistry:
             self._counters["model.batched_inputs"] += size
             self._batch_sizes[size] += 1
 
+    def record_stage(self, name: str, seconds: float, items: int = 1) -> None:
+        """Fold one timed span of pipeline stage ``name`` into the registry."""
+        with self._lock:
+            self._stages.add(name, seconds, items=items)
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -91,6 +115,8 @@ class MetricsRegistry:
     def snapshot(self, include_samples: bool = False) -> dict:
         """JSON-ready report; safe to call at any moment, even idle.
 
+        Everything in it is read under one lock hold, so counters,
+        latencies and ``stages`` describe the same instant.
         ``include_samples=True`` attaches the raw latency window under
         ``latency_samples`` so an aggregator can compute *merged*
         percentiles across registries (averaging per-shard p99s would
@@ -102,6 +128,7 @@ class MetricsRegistry:
             latencies = list(self._latencies)
             batch_sizes = dict(sorted(self._batch_sizes.items()))
             counters = dict(sorted(self._counters.items()))
+            stages = self._stages.report()
         batched = sum(size * n for size, n in batch_sizes.items())
         batches = sum(batch_sizes.values())
         hits = counters.get("cache.hits", 0)
@@ -121,15 +148,11 @@ class MetricsRegistry:
             "batch_size_histogram": {str(k): v for k, v in batch_sizes.items()},
             "mean_batch_size": round(batched / batches, 3) if batches else 0.0,
             "counters": counters,
+            "stages": stages,
         }
         if include_samples:
             snap["latency_samples"] = [round(s, 6) for s in latencies]
         return snap
-
-    def latency_samples(self) -> list[float]:
-        """Copy of the current latency window (for merged percentiles)."""
-        with self._lock:
-            return list(self._latencies)
 
     def format_table(self, title: str = "serving stats") -> str:
         """Fixed-width terminal rendering of :meth:`snapshot`."""
@@ -159,12 +182,14 @@ def merge_shard_stats(shard_stats: Sequence[dict], elapsed: float) -> dict:
 
     * **counters** are summed;
     * **latency quantiles** are recomputed over the *pooled* raw sample
-      windows (each shard must snapshot with ``include_samples=True``) —
+      windows (each shard sends ``stats(include_samples=True)``) —
       pooling is exact, averaging per-shard percentiles would not be;
     * **batch histograms** are added bucket-wise;
-    * **cache** counters are summed and the aggregate hit rate is
-      recomputed from the sums (this is the number the shard-exclusive
-      routing is supposed to keep at the single-process level);
+    * **cache** fields are summed — every numeric field a shard's
+      cache reports, so a new cache counter merges without being
+      listed here — and the aggregate hit rate is recomputed from the
+      sums (this is the number the shard-exclusive routing is supposed
+      to keep at the single-process level);
     * **repair** per-shard counters are summed (they ride the counter
       merge) and additionally rolled up into a ``repair`` section with a
       cluster-wide repair rate, present whenever any shard reports the
@@ -194,26 +219,21 @@ def merge_shard_stats(shard_stats: Sequence[dict], elapsed: float) -> dict:
         cache = snap.get("cache")
         if cache:
             cache_seen = True
-            for field in ("size", "capacity", "hits", "misses",
-                          "stale_hits", "evictions",
-                          "canonical_probes", "canonical_hits",
-                          "canonical_variants", "canonical_new",
-                          "canonical_skipped", "canonical_index_size"):
-                cache_totals[field] += cache.get(field, 0)
+            cache_totals.update(
+                {field: value for field, value in cache.items() if field != "hit_rate"}
+            )
         for name, stats in snap.get("stages", {}).items():
             merged = stages.setdefault(
                 name,
                 {"busy_seconds": 0.0, "wall_seconds": 0.0,
                  "calls": 0, "items": 0},
             )
-            merged["busy_seconds"] += stats.get(
-                "busy_seconds", stats.get("seconds", 0.0)
-            )
+            merged["busy_seconds"] += stats["busy_seconds"]
             merged["wall_seconds"] = max(
-                merged["wall_seconds"], stats.get("wall_seconds", 0.0)
+                merged["wall_seconds"], stats["wall_seconds"]
             )
-            merged["calls"] += stats.get("calls", 0)
-            merged["items"] += stats.get("items", 0)
+            merged["calls"] += stats["calls"]
+            merged["items"] += stats["items"]
     total = counters.get("requests_total", 0)
     hits = counters.get("cache.hits", 0)
     lookups = hits + counters.get("cache.misses", 0)

@@ -38,7 +38,6 @@ from functools import lru_cache
 from repro.core.faults import NO_REPAIR_FAULTS, RepairFaultPlan
 from repro.errors import ServingError, TranslationError
 from repro.neural.base import TranslationModel
-from repro.perf.instrumentation import PerfRecorder
 from repro.runtime.interface import DBPal, TranslationResult
 from repro.runtime.preprocess import PreprocessedQuery
 from repro.serving.batcher import BatchRequest, MicroBatcher
@@ -46,7 +45,7 @@ from repro.serving.cache import TranslationCache
 from repro.serving.config import ServingConfig
 from repro.serving.fallback import KeywordFallback
 from repro.serving.limits import CircuitBreaker, TokenBucket
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.metrics import STAGES_LEGEND, MetricsRegistry
 from repro.serving.repair import (
     ABANDONED as REPAIR_ABANDONED,
     CLEAN as REPAIR_CLEAN,
@@ -68,6 +67,10 @@ SOURCE_CACHE = "cache"
 SOURCE_MODEL = "model"
 SOURCE_FALLBACK = "fallback"
 SOURCE_NONE = "none"
+
+#: Entries in each serving tier's preprocess memo (keyed on the raw
+#: question; see ``TranslationService.__init__``).
+PREPROCESS_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,6 @@ class TranslationService(ServingTier):
         The single-shot facade to serve (database + fitted model).
     config:
         Serving knobs; defaults are sensible for tests and demos.
-    recorder:
-        Optional shared :class:`PerfRecorder`; one is created otherwise.
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`::
 
@@ -222,7 +223,6 @@ class TranslationService(ServingTier):
         self,
         nlidb: DBPal,
         config: ServingConfig | None = None,
-        recorder: PerfRecorder | None = None,
         clock=time.monotonic,
         repair_faults: RepairFaultPlan = NO_REPAIR_FAULTS,
     ) -> None:
@@ -230,7 +230,6 @@ class TranslationService(ServingTier):
             raise ServingError("cannot serve an untrained DBPal (model is None)")
         self.nlidb = nlidb
         self.config = config or ServingConfig()
-        self.recorder = recorder or PerfRecorder()
         self.metrics = MetricsRegistry(clock=clock)
         self._clock = clock
         cfg = self.config
@@ -267,12 +266,8 @@ class TranslationService(ServingTier):
         # Preprocessing is deterministic over a fixed database, so the
         # raw question string is a sound memo key; lru_cache is
         # thread-safe and cheap enough for the admission path.
-        self._preprocess = (
-            lru_cache(maxsize=cfg.preprocess_cache_capacity)(
-                nlidb.preprocessor.preprocess
-            )
-            if cfg.preprocess_cache_capacity > 0
-            else nlidb.preprocessor.preprocess
+        self._preprocess = lru_cache(maxsize=PREPROCESS_MEMO_SIZE)(
+            nlidb.preprocessor.preprocess
         )
         self._batcher = MicroBatcher(
             self._process_batch,
@@ -282,7 +277,6 @@ class TranslationService(ServingTier):
         )
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._recorder_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._executor: ThreadPoolExecutor | None = None
         self._lifecycle_lock = threading.Lock()
@@ -341,7 +335,7 @@ class TranslationService(ServingTier):
         try:
             t0 = self._clock()
             pre = self._preprocess(nl)
-            self._record("preprocess", self._clock() - t0)
+            self.metrics.record_stage("preprocess", self._clock() - t0)
         except Exception as exc:  # noqa: BLE001 — malformed input, not a crash
             return finish(
                 ServingResponse(
@@ -422,20 +416,6 @@ class TranslationService(ServingTier):
         self.nlidb.model = model
         self.metrics.increment("model.reloads")
 
-    #: What the two per-stage time columns mean (surfaced verbatim in
-    #: ``--stats`` / ``--stats-json`` so a 600%-looking utilization is
-    #: never misread as a measurement bug).
-    STAGES_LEGEND = {
-        "busy_seconds": (
-            "time spent inside the stage summed across all worker "
-            "threads; under concurrency this exceeds wall-clock"
-        ),
-        "wall_seconds": (
-            "wall-clock span from the stage's first entry to its last "
-            "exit; bounded by the service's uptime"
-        ),
-    }
-
     def _canonical_key_fn(self, output: str | None) -> str | None:
         """Canonical SQL key of a raw model output (``None`` = skip).
 
@@ -449,9 +429,14 @@ class TranslationService(ServingTier):
 
         return canonical_key_for_sql(output, self.nlidb.database.schema)
 
-    def stats(self) -> dict:
-        """Combined metrics / cache / breaker / per-stage perf snapshot."""
-        snap = self.metrics.snapshot()
+    def stats(self, include_samples: bool = False) -> dict:
+        """Combined metrics / cache / breaker / per-stage perf snapshot.
+
+        ``include_samples`` is passed to :meth:`MetricsRegistry.snapshot`:
+        a shard sets it so its raw latency window comes from the same
+        lock hold as its counters.
+        """
+        snap = self.metrics.snapshot(include_samples=include_samples)
         snap["cache"] = self.cache.stats() if self.cache is not None else None
         snap["breaker"] = self.breaker.stats()
         snap["repair"] = (
@@ -463,9 +448,7 @@ class TranslationService(ServingTier):
                 "last_trace": self._last_repair_trace,
             }
         )
-        with self._recorder_lock:
-            snap["stages"] = self.recorder.report()
-        snap["stages_legend"] = dict(self.STAGES_LEGEND)
+        snap["stages_legend"] = dict(STAGES_LEGEND)
         snap["accounting"] = self._accounting(snap)
         snap["config"] = self.config.to_dict()
         return snap
@@ -660,7 +643,7 @@ class TranslationService(ServingTier):
             self.metrics.increment("model.failed_inputs", len(batch))
             self._resolve(batch, _MODEL_DOWN, [None] * len(batch))
             return
-        self._record("model_batch", self._clock() - t0, items=len(batch))
+        self.metrics.record_stage("model_batch", self._clock() - t0, items=len(batch))
         self.breaker.record_success()
         self.metrics.increment("model.calls", len(batch))
         self._resolve(batch, _MODEL_OK, outputs)
@@ -695,15 +678,11 @@ class TranslationService(ServingTier):
         chain — the service never surfaces "the model shrugged" as an
         unstructured failure.
         """
-        if model_output is None:
-            return self._degrade(request_id, nl, pre, model_down=False)
-        result = self._postprocess(nl, pre, model_output)
-        if result.query is None:
-            return self._degrade(request_id, nl, pre, model_down=False)
-        trace = self._maybe_repair(result)
-        return ServingResponse(
-            request_id, nl, status=OK, source=source, result=result, repair=trace
-        )
+        if model_output is not None:
+            response = self._answer(request_id, nl, pre, model_output, OK, source)
+            if response is not None:
+                return response
+        return self._degrade(request_id, nl, pre, model_down=False)
 
     def _degrade(
         self,
@@ -712,15 +691,14 @@ class TranslationService(ServingTier):
         pre: PreprocessedQuery,
         model_down: bool = True,
     ) -> ServingResponse:
-        """Fallback chain: stale cache → schema keywords → structured error."""
+        """Fallback chain: stale cache → schema keywords → structured error.
+
+        While the model is down, expired cache entries are served too.
+        """
         self.metrics.increment("degraded")
         t0 = self._clock()
         try:
-            if (
-                model_down
-                and self.cache is not None
-                and self.config.serve_stale_on_degrade
-            ):
+            if model_down and self.cache is not None:
                 stale = self.cache.get(pre.model_input, allow_expired=True)
                 if stale is None:
                     self.metrics.increment("cache.stale_misses")
@@ -729,32 +707,20 @@ class TranslationService(ServingTier):
                 else:
                     self.metrics.increment("cache.degrade_hits")
                 if stale is not None and stale.value is not None:
-                    result = self._postprocess(nl, pre, stale.value)
-                    if result.query is not None:
-                        trace = self._maybe_repair(result)
-                        return ServingResponse(
-                            request_id,
-                            nl,
-                            status=DEGRADED,
-                            source=SOURCE_CACHE,
-                            result=result,
-                            repair=trace,
-                        )
+                    response = self._answer(
+                        request_id, nl, pre, stale.value, DEGRADED, SOURCE_CACHE
+                    )
+                    if response is not None:
+                        return response
             fallback_sql = self._fallback.translate(pre.model_input)
             if fallback_sql is not None:
-                result = self._postprocess(nl, pre, fallback_sql)
-                if result.query is not None:
-                    trace = self._maybe_repair(result)
-                    return ServingResponse(
-                        request_id,
-                        nl,
-                        status=DEGRADED,
-                        source=SOURCE_FALLBACK,
-                        result=result,
-                        repair=trace,
-                    )
+                response = self._answer(
+                    request_id, nl, pre, fallback_sql, DEGRADED, SOURCE_FALLBACK
+                )
+                if response is not None:
+                    return response
         finally:
-            self._record("fallback", self._clock() - t0)
+            self.metrics.record_stage("fallback", self._clock() - t0)
         code = "model_unavailable" if model_down else "untranslatable"
         message = (
             "model unavailable and no fallback matched"
@@ -767,6 +733,25 @@ class TranslationService(ServingTier):
             status=ERROR,
             source=SOURCE_NONE,
             failure=ServiceFailure(code, message, retryable=model_down),
+        )
+
+    def _answer(
+        self,
+        request_id: int,
+        nl: str,
+        pre: PreprocessedQuery,
+        output: str,
+        status: str,
+        source: str,
+    ) -> ServingResponse | None:
+        """Post-process ``output``, repair it, and build the response;
+        ``None`` when post-processing yields no query."""
+        result = self._postprocess(nl, pre, output)
+        if result.query is None:
+            return None
+        trace = self._maybe_repair(result)
+        return ServingResponse(
+            request_id, nl, status=status, source=source, result=result, repair=trace
         )
 
     def _maybe_repair(self, result: TranslationResult) -> dict | None:
@@ -784,7 +769,7 @@ class TranslationService(ServingTier):
         report = self._repair.run(
             result.query, bindings=result.bindings, location="serving"
         )
-        self._record("repair", self._clock() - t0)
+        self.metrics.record_stage("repair", self._clock() - t0)
         self.metrics.increment("repair.requests")
         if report.outcome == REPAIR_CLEAN:
             self.metrics.increment("repair.clean")
@@ -813,7 +798,7 @@ class TranslationService(ServingTier):
         """Restore *this* request's constants into a (possibly shared) output."""
         t0 = self._clock()
         processed = self.nlidb.postprocessor.process(model_output, pre.bindings)
-        self._record("postprocess", self._clock() - t0)
+        self.metrics.record_stage("postprocess", self._clock() - t0)
         return TranslationResult(
             nl=nl,
             model_input=pre.model_input,
@@ -825,7 +810,3 @@ class TranslationService(ServingTier):
             bindings=list(pre.bindings),
             repaired=processed.repaired if processed else False,
         )
-
-    def _record(self, stage: str, seconds: float, items: int = 1) -> None:
-        with self._recorder_lock:
-            self.recorder.add(stage, seconds, items=items)

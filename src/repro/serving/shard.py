@@ -128,10 +128,7 @@ def shard_main(conn: Connection, shard_id: str, spec: ShardSpec) -> None:
                 future = service.submit(nl, timeout)
                 future.add_done_callback(lambda f, wid=wid: on_done(wid, f))
             elif kind == "stats":
-                snap = service.stats()
-                snap["latency_samples"] = [
-                    round(s, 6) for s in service.metrics.latency_samples()
-                ]
+                snap = service.stats(include_samples=True)
                 snap["generation"] = generation
                 send(("stats", message[1], snap))
             elif kind == "cache_keys":

@@ -131,6 +131,17 @@ def test_dbpal_accepts_adapter_instance(retrieval_nlidb, patients_db):
         assert nlidb.query("how many patients are there")
 
 
+@pytest.mark.parametrize("backend", [None, "sqlite"])
+def test_unresolved_placeholder_is_named_by_every_backend(patients_db, backend):
+    from repro.errors import ReproError
+    from repro.runtime import DBPal
+
+    nlidb = DBPal(patients_db, backend=backend)
+    query = parse("SELECT name FROM patients WHERE age = @AGE")
+    with pytest.raises(ReproError, match="unresolved placeholder @AGE"):
+        nlidb.execute(query)
+
+
 def test_dbpal_rejects_unknown_backend(patients_db):
     from repro.runtime import DBPal
 

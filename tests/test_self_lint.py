@@ -2,7 +2,7 @@
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
 three rules that have each caused real bugs in serving stacks, plus
-four layering rules:
+five layering rules:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -21,6 +21,11 @@ four layering rules:
   runs through ``DBPal.execute`` (``DBPal.backend``, the planned
   session by default); :func:`repro.db.executor.execute` is the
   differential-test oracle only.
+* **no ``PerfRecorder`` in ``serving/`` outside the registry** — each
+  serving tier has one telemetry sink, its ``MetricsRegistry``, and
+  stage timings go through ``MetricsRegistry.record_stage`` under the
+  registry's one lock.  Only ``serving/metrics.py``, where the registry
+  keeps its stage recorder, imports it.
 * **no private name imported across packages** — an underscore name
   (``_results_match``) is private to its package (``repro.sql``,
   ``repro.db``, …); a module in another package imports only public
@@ -164,6 +169,31 @@ def test_no_naive_executor_on_runtime_paths():
             return "execute through DBPal.execute, not the naive executor"
 
     assert _findings(check, packages=("serving", "runtime")) == []
+
+
+#: The one serving module that may hold a ``PerfRecorder``: the registry.
+STAGE_SINK = "repro/serving/metrics.py"
+
+
+def _imports_perf_recorder(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("repro.perf") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return any(
+            alias.name in ("PerfRecorder", "instrumentation") for alias in node.names
+        )
+    return False
+
+
+def test_serving_records_stages_only_through_the_registry():
+    def check(node):
+        if _imports_perf_recorder(node):
+            return "record stage timings with MetricsRegistry.record_stage"
+
+    findings = _findings(check, packages=("serving",))
+    assert [f for f in findings if not f.startswith(f"{STAGE_SINK}:")] == []
+    # The exemption must still name a module that does import it.
+    assert any(f.startswith(f"{STAGE_SINK}:") for f in findings)
 
 
 def _package_of(module: str) -> str:
@@ -354,6 +384,22 @@ class TestLintRulesDetect:
     def test_naive_executor_import_rule(self, source, bad):
         node = ast.parse(source).body[0]
         assert _imports_naive_executor(node) is bad
+
+    @pytest.mark.parametrize(
+        "source, bad",
+        [
+            ("from repro.perf.instrumentation import PerfRecorder\n", True),
+            ("from repro.perf import PerfRecorder, StageTimer\n", True),
+            ("from ..perf.instrumentation import PerfRecorder\n", True),
+            ("from repro.perf import instrumentation\n", True),
+            ("import repro.perf.instrumentation\n", True),
+            ("from repro.serving.metrics import MetricsRegistry\n", False),
+            ("import threading\n", False),
+        ],
+    )
+    def test_perf_recorder_import_rule(self, source, bad):
+        node = ast.parse(source).body[0]
+        assert _imports_perf_recorder(node) is bad
 
     @pytest.mark.parametrize(
         "source, module, bad",

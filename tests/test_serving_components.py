@@ -185,6 +185,50 @@ class TestMetricsRegistry:
     def test_format_table_idle(self):
         assert "requests" in MetricsRegistry().format_table()
 
+    def test_snapshot_carries_stages(self):
+        registry = MetricsRegistry()
+        registry.record_stage("model_batch", 0.002, items=3)
+        registry.record_stage("model_batch", 0.001)
+        stage = registry.snapshot()["stages"]["model_batch"]
+        assert set(stage) == {
+            "seconds", "busy_seconds", "wall_seconds",
+            "calls", "items", "items_per_second",
+        }
+        assert stage["calls"] == 2
+        assert stage["items"] == 4
+        assert stage["busy_seconds"] == pytest.approx(0.003)
+
+    def test_concurrent_records_snapshot_consistently(self):
+        import sys
+
+        registry = MetricsRegistry()
+        threads, rounds = 8, 200
+
+        def worker() -> None:
+            for _ in range(rounds):
+                registry.record_stage("preprocess", 0.0001)
+                registry.record_request("ok", "cache", 0.0001)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            # Snapshots taken mid-run see samples and counters together.
+            while any(thread.is_alive() for thread in pool):
+                snap = registry.snapshot(include_samples=True)
+                assert len(snap["latency_samples"]) == snap["requests_total"]
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in pool)
+        snap = registry.snapshot(include_samples=True)
+        assert snap["requests_total"] == threads * rounds
+        assert snap["stages"]["preprocess"]["calls"] == threads * rounds
+        assert snap["stages"]["preprocess"]["items"] == threads * rounds
+
 
 class TestKeywordFallback:
     def test_matches_table_and_columns(self, patients_db):
