@@ -664,11 +664,17 @@ class ExecutorSession:
         key = None
         if use_cache and self._cache_size > 0:
             text = to_sql(query)
-            key = (
-                self._canonical_sql(query, text),
-                tuple(str(item) for item in query.select),
-                tuple(query.from_tables),
-            )
+            # The labels and FROM order are a pure function of the frozen
+            # query, so they are memoized in its ``__dict__`` beside
+            # ``to_sql``'s text.
+            memo = query.__dict__
+            shape = memo.get("_labels_and_from")
+            if shape is None:
+                shape = memo["_labels_and_from"] = (
+                    tuple(str(item) for item in query.select),
+                    tuple(query.from_tables),
+                )
+            key = (self._canonical_sql(query, text), *shape)
             with self._cache_lock:
                 cached = self._cache.get(key)
                 if type(cached) is _CachedFailure and cached.sql != text:

@@ -39,6 +39,9 @@ E_TIMEOUT = "E_TIMEOUT"
 E_MODEL_UNAVAILABLE = "E_MODEL_UNAVAILABLE"
 E_UNTRANSLATABLE = "E_UNTRANSLATABLE"
 
+#: SQL subset ---------------------------------------------------------
+E_SQL_PARSE = "E_SQL_PARSE"
+
 #: Backend adapters ---------------------------------------------------
 E_BACKEND = "E_BACKEND"
 E_DIALECT = "E_DIALECT"
@@ -65,6 +68,7 @@ ERROR_CODES: dict[str, str] = {
     E_TIMEOUT: "no answer within the request deadline",
     E_MODEL_UNAVAILABLE: "translation model unavailable or degraded",
     E_UNTRANSLATABLE: "input cannot be translated",
+    E_SQL_PARSE: "SQL text is outside the supported subset",
     E_BACKEND: "backend adapter failed to connect, execute, or introspect",
     E_DIALECT: "construct is not expressible in the target SQL dialect",
     E_REPAIR_BUDGET: "repair budget exhausted before a verified candidate",
@@ -137,6 +141,8 @@ class SqlLexError(SqlError):
 
 class SqlParseError(SqlError):
     """The SQL parser rejected the token stream."""
+
+    code = E_SQL_PARSE
 
 
 class ExecutionError(ReproError):

@@ -69,10 +69,10 @@ class StageStats:
 
     def observe_span(self, start: float, end: float) -> None:
         """Widen the wall-clock bracket to include [start, end]."""
-        self.first_start = (
-            start if self.first_start is None else min(self.first_start, start)
-        )
-        self.last_end = end if self.last_end is None else max(self.last_end, end)
+        if self.first_start is None or start < self.first_start:
+            self.first_start = start
+        if self.last_end is None or end > self.last_end:
+            self.last_end = end
 
     @property
     def items_per_second(self) -> float:
@@ -100,25 +100,34 @@ class PerfRecorder:
 
     stages: dict[str, StageStats] = field(default_factory=dict)
 
-    def add(self, stage: str, seconds: float, items: int = 0) -> None:
+    def _stats(self, stage: str) -> StageStats:
+        stats = self.stages.get(stage)
+        if stats is None:
+            stats = self.stages[stage] = StageStats()
+        return stats
+
+    def add(
+        self, stage: str, seconds: float, items: int = 0, end: float | None = None
+    ) -> None:
         """Fold one measurement into ``stage``'s running totals.
 
-        The span is approximated as ending now (callers report a
-        duration immediately after measuring it), which is accurate
-        enough for the wall-clock bracket; use :meth:`stage` when the
-        exact span matters.
+        ``end`` is when the span ended, on the clock the caller timed it
+        with.  Without it the span is approximated as ending now on
+        ``perf_counter`` (callers report a duration immediately after
+        measuring it), which is accurate enough for the wall-clock
+        bracket.
         """
-        stats = self.stages.setdefault(stage, StageStats())
+        stats = self._stats(stage)
         stats.seconds += seconds
         stats.calls += 1
         stats.items += items
-        end = time.perf_counter()
+        if end is None:
+            end = time.perf_counter()
         stats.observe_span(end - max(0.0, seconds), end)
 
     def count(self, stage: str, items: int) -> None:
         """Add items to a stage without adding time (e.g. merged pairs)."""
-        stats = self.stages.setdefault(stage, StageStats())
-        stats.items += items
+        self._stats(stage).items += items
 
     @contextmanager
     def stage(self, name: str):
@@ -127,7 +136,7 @@ class PerfRecorder:
         Yields the :class:`StageStats` so the block can attach an item
         count: ``with recorder.stage("merge") as s: ...; s.items += n``.
         """
-        stats = self.stages.setdefault(name, StageStats())
+        stats = self._stats(name)
         start = time.perf_counter()
         try:
             yield stats
@@ -145,7 +154,7 @@ class PerfRecorder:
         report as one logical run.
         """
         for name, stats in other.stages.items():
-            mine = self.stages.setdefault(name, StageStats())
+            mine = self._stats(name)
             mine.seconds += stats.seconds
             mine.calls += stats.calls
             mine.items += stats.items

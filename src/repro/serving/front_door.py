@@ -51,7 +51,12 @@ from repro.errors import ServingError
 from repro.serving.config import ServingConfig, ShardedConfig
 from repro.serving.hashring import HashRing
 from repro.serving.limits import TokenBucket
-from repro.serving.metrics import STAGES_LEGEND, MetricsRegistry, merge_shard_stats
+from repro.serving.metrics import (
+    STAGES_LEGEND,
+    MetricsRegistry,
+    RequestTrace,
+    merge_shard_stats,
+)
 from repro.serving.service import (
     ERROR,
     PREPROCESS_MEMO_SIZE,
@@ -71,9 +76,13 @@ _STATS_TIMEOUT = 5.0
 
 @dataclass
 class _Pending:
-    """One accepted request, from dispatch until its future resolves."""
+    """One accepted request, from admission until its future resolves.
 
-    request_id: int
+    ``trace`` collects the request's front-door stages and counters;
+    :meth:`ShardedService._finish` folds it into the registry.
+    """
+
+    trace: RequestTrace
     nl: str
     key: str
     timeout: float | None
@@ -239,28 +248,25 @@ class ShardedService(ServingTier):
         """Route one question to its shard; resolves to a ServingResponse."""
         if not self._running:
             raise ServingError("sharded service is not running")
-        request_id = next(self._ids)
-        started = time.monotonic()
-        future: Future = Future()
+        pending = _Pending(RequestTrace(next(self._ids)), nl, key="",
+                           timeout=timeout, future=Future(),
+                           started=time.monotonic())
         with self._accepted_lock:
             self._accepted += 1
         if not self._bucket.try_acquire():
             self._finish(
                 ServingResponse(
-                    request_id,
+                    pending.trace.request_id,
                     nl,
                     status=REJECTED,
                     source=SOURCE_NONE,
                     failure=ServiceFailure("rate_limited", "admission rate exceeded"),
                 ),
-                future,
-                started,
+                pending,
             )
-            return future
-        pending = _Pending(request_id, nl, key="", timeout=timeout,
-                           future=future, started=started)
-        self._dispatch.submit(self._preprocess_and_route, pending)
-        return future
+        else:
+            self._dispatch.submit(self._preprocess_and_route, pending)
+        return pending.future
 
     def rolling_reload(self, loader: Callable, *args, **kwargs) -> list[dict]:
         """Swap every shard's model, one shard at a time, zero downtime.
@@ -355,11 +361,11 @@ class ShardedService(ServingTier):
         try:
             t0 = time.monotonic()
             pre = self._preprocess(pending.nl)
-            self.metrics.record_stage("preprocess", time.monotonic() - t0)
+            pending.trace.span("preprocess", t0, time.monotonic())
         except Exception as exc:  # noqa: BLE001 — malformed input
             self._finish(
                 ServingResponse(
-                    pending.request_id,
+                    pending.trace.request_id,
                     pending.nl,
                     status=ERROR,
                     source=SOURCE_NONE,
@@ -369,8 +375,7 @@ class ShardedService(ServingTier):
                         retryable=False,
                     ),
                 ),
-                pending.future,
-                pending.started,
+                pending,
             )
             return
         pending.key = pre.model_input
@@ -396,10 +401,10 @@ class ShardedService(ServingTier):
         name = self._ring.route(pending.key)
         shard = self._shards[name]
         if len(shard.pending) >= self.config.max_inflight_per_shard:
-            self.metrics.increment("shed.queue_full")
+            pending.trace.count("shed.queue_full")
             self._finish(
                 ServingResponse(
-                    pending.request_id,
+                    pending.trace.request_id,
                     pending.nl,
                     status=REJECTED,
                     source=SOURCE_NONE,
@@ -407,8 +412,7 @@ class ShardedService(ServingTier):
                         "queue_full", f"shard {name} is at max in-flight"
                     ),
                 ),
-                pending.future,
-                pending.started,
+                pending,
             )
             return
         pending.attempts += 1
@@ -420,27 +424,29 @@ class ShardedService(ServingTier):
             shard.pending.pop(wid, None)
             self._on_shard_death(shard, redispatch=[pending])
 
-    def _finish(self, response: ServingResponse, future: Future, started: float) -> None:
-        """Restamp latency end-to-end, record, resolve the caller's future."""
-        response.latency = time.monotonic() - started
-        self.metrics.record_request(response.status, response.source, response.latency)
+    def _finish(self, response: ServingResponse, pending: _Pending) -> None:
+        """Restamp latency end-to-end, fold the request's trace, resolve
+        the caller's future."""
+        response.latency = time.monotonic() - pending.started
+        self.metrics.record_request(
+            response.status, response.source, response.latency, pending.trace
+        )
         with self._accepted_lock:
             self._accepted -= 1
-        if not future.done():
-            future.set_result(response)
+        if not pending.future.done():
+            pending.future.set_result(response)
 
     def _fail(self, pending: _Pending, code: str, message: str) -> None:
         self.metrics.increment("supervisor.failed_requests")
         self._finish(
             ServingResponse(
-                pending.request_id,
+                pending.trace.request_id,
                 pending.nl,
                 status=ERROR,
                 source=SOURCE_NONE,
                 failure=ServiceFailure(code, message),
             ),
-            pending.future,
-            pending.started,
+            pending,
         )
 
     # ------------------------------------------------------------------
@@ -534,8 +540,8 @@ class ShardedService(ServingTier):
             pending = shard.pending.pop(wid, None)
             if pending is None:
                 return  # re-dispatched after a presumed death; drop dup
-            response.request_id = pending.request_id
-            self._finish(response, pending.future, pending.started)
+            response.request_id = pending.trace.request_id
+            self._finish(response, pending)
         elif kind == "response_error":
             _, wid, detail = message
             pending = shard.pending.pop(wid, None)

@@ -4,8 +4,11 @@ per-stage timings.
 A :class:`MetricsRegistry` is the single sink every serving component
 reports into.  It is deliberately boring — one lock, some counters, a
 bounded latency window, a stage recorder — because it sits on the hot
-path of every request.  ``snapshot()`` produces the JSON-ready report
-surfaced by ``repro serve --stats`` and written into
+path of every request.  A request does not report as it goes: it
+writes its stage spans and counters into its own :class:`RequestTrace`,
+and the registry folds the finished trace in one lock hold (see
+:meth:`MetricsRegistry.record_request`).  ``snapshot()`` produces the
+JSON-ready report surfaced by ``repro serve --stats`` and written into
 ``BENCH_serving.json``; every derived rate in it is zero-guarded so an
 idle service snapshots cleanly.
 """
@@ -45,6 +48,30 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank]
 
 
+class RequestTrace:
+    """What one request records while it is served.
+
+    The request's thread owns its trace, so recording takes no lock:
+    ``span`` keeps a timed stage (start and end on the serving tier's
+    clock) and ``count`` keeps a counter increment.  The registry folds
+    both when the request finishes, so a snapshot shows all of a
+    request's telemetry or none of it.
+    """
+
+    __slots__ = ("request_id", "spans", "counters")
+
+    def __init__(self, request_id: int) -> None:
+        self.request_id = request_id
+        self.spans: list[tuple[str, float, float]] = []
+        self.counters: list[str] = []
+
+    def span(self, name: str, start: float, end: float) -> None:
+        self.spans.append((name, start, end))
+
+    def count(self, name: str) -> None:
+        self.counters.append(name)
+
+
 class MetricsRegistry:
     """Thread-safe accumulator of serving metrics.
 
@@ -78,13 +105,37 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] += amount
 
-    def record_request(self, status: str, source: str, seconds: float) -> None:
-        """Fold one finished request into the registry."""
+    def record_request(
+        self,
+        status: str,
+        source: str,
+        seconds: float,
+        trace: RequestTrace | None = None,
+    ) -> None:
+        """Fold one finished request, and its trace, into the registry."""
         with self._lock:
-            self._counters["requests_total"] += 1
-            self._counters[f"status.{status}"] += 1
-            self._counters[f"source.{source}"] += 1
+            if trace is not None:
+                self._fold(trace)
+            counters = self._counters
+            counters["requests_total"] += 1
+            counters[f"status.{status}"] += 1
+            counters[f"source.{source}"] += 1
             self._latencies.append(seconds)
+
+    def record_trace(self, trace: RequestTrace) -> None:
+        """Fold the stages and counters of a request that raised instead
+        of finishing; no request is counted."""
+        with self._lock:
+            self._fold(trace)
+
+    def _fold(self, trace: RequestTrace) -> None:
+        # The caller holds the lock.
+        counters = self._counters
+        for name in trace.counters:
+            counters[name] += 1
+        add = self._stages.add
+        for name, start, end in trace.spans:
+            add(name, end - start, 1, end)
 
     def record_batch(self, size: int) -> None:
         """Fold one micro-batch into the registry.
@@ -100,7 +151,8 @@ class MetricsRegistry:
             self._batch_sizes[size] += 1
 
     def record_stage(self, name: str, seconds: float, items: int = 1) -> None:
-        """Fold one timed span of pipeline stage ``name`` into the registry."""
+        """Fold one timed span of stage ``name`` that belongs to no single
+        request (a model batch) into the registry."""
         with self._lock:
             self._stages.add(name, seconds, items=items)
 

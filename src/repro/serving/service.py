@@ -45,7 +45,7 @@ from repro.serving.cache import TranslationCache
 from repro.serving.config import ServingConfig
 from repro.serving.fallback import KeywordFallback
 from repro.serving.limits import CircuitBreaker, TokenBucket
-from repro.serving.metrics import STAGES_LEGEND, MetricsRegistry
+from repro.serving.metrics import STAGES_LEGEND, MetricsRegistry, RequestTrace
 from repro.serving.repair import (
     ABANDONED as REPAIR_ABANDONED,
     CLEAN as REPAIR_CLEAN,
@@ -311,81 +311,84 @@ class TranslationService(ServingTier):
         """
         if not self.running:
             self.start()
-        request_id = next(self._ids)
+        trace = RequestTrace(next(self._ids))
         started = self._clock()
+        try:
+            response = self._serve(nl, timeout, trace)
+        except BaseException:
+            # Nothing was served: keep what the request recorded, but
+            # count no request.
+            self.metrics.record_trace(trace)
+            raise
+        response.latency = self._clock() - started
+        self.metrics.record_request(
+            response.status, response.source, response.latency, trace
+        )
+        return response
 
-        def finish(response: ServingResponse) -> ServingResponse:
-            response.latency = self._clock() - started
-            self.metrics.record_request(
-                response.status, response.source, response.latency
-            )
-            return response
-
+    def _serve(
+        self, nl: str, timeout: float | None, trace: RequestTrace
+    ) -> ServingResponse:
+        """The request pipeline behind :meth:`translate`; every stage
+        records into ``trace``."""
+        request_id = trace.request_id
         if not self._bucket.try_acquire():
-            return finish(
-                ServingResponse(
-                    request_id,
-                    nl,
-                    status=REJECTED,
-                    source=SOURCE_NONE,
-                    failure=ServiceFailure("rate_limited", "admission rate exceeded"),
-                )
+            return ServingResponse(
+                request_id,
+                nl,
+                status=REJECTED,
+                source=SOURCE_NONE,
+                failure=ServiceFailure("rate_limited", "admission rate exceeded"),
             )
 
         try:
             t0 = self._clock()
             pre = self._preprocess(nl)
-            self.metrics.record_stage("preprocess", self._clock() - t0)
+            trace.span("preprocess", t0, self._clock())
         except Exception as exc:  # noqa: BLE001 — malformed input, not a crash
-            return finish(
-                ServingResponse(
-                    request_id,
-                    nl,
-                    status=ERROR,
-                    source=SOURCE_NONE,
-                    failure=ServiceFailure(
-                        "untranslatable", f"preprocessing failed: {exc}", retryable=False
-                    ),
-                )
+            return ServingResponse(
+                request_id,
+                nl,
+                status=ERROR,
+                source=SOURCE_NONE,
+                failure=ServiceFailure(
+                    "untranslatable", f"preprocessing failed: {exc}", retryable=False
+                ),
             )
         key = pre.model_input
 
         # -- translation cache (fresh entries only) ---------------------
         if self.cache is not None:
             hit = self.cache.get(key)
-            self.metrics.increment("cache.hits" if hit else "cache.misses")
+            trace.count("cache.hits" if hit else "cache.misses")
             if hit is not None:
-                return finish(self._respond(request_id, nl, pre, hit.value, SOURCE_CACHE))
+                return self._respond(trace, nl, pre, hit.value, SOURCE_CACHE)
 
         # -- single-flight + micro-batched model call -------------------
-        outcome = self._await_model(key, timeout)
+        outcome = self._await_model(key, timeout, trace)
         if outcome is None:
-            return finish(
-                ServingResponse(
-                    request_id,
-                    nl,
-                    status=TIMEOUT,
-                    source=SOURCE_NONE,
-                    failure=ServiceFailure(
-                        "timeout",
-                        f"no translation within {timeout or self.config.request_timeout}s",
-                    ),
-                )
+            return ServingResponse(
+                request_id,
+                nl,
+                status=TIMEOUT,
+                source=SOURCE_NONE,
+                failure=ServiceFailure(
+                    "timeout",
+                    f"no translation within {timeout or self.config.request_timeout}s",
+                ),
             )
         status, output = outcome
         if status == "queue_full":
-            return finish(
-                ServingResponse(
-                    request_id,
-                    nl,
-                    status=REJECTED,
-                    source=SOURCE_NONE,
-                    failure=ServiceFailure("queue_full", "admission queue is full"),
-                )
+            return ServingResponse(
+                request_id,
+                nl,
+                status=REJECTED,
+                source=SOURCE_NONE,
+                failure=ServiceFailure("queue_full", "admission queue is full"),
             )
         if status == _MODEL_DOWN:
-            return finish(self._degrade(request_id, nl, pre))
-        return finish(self._respond(request_id, nl, pre, output, SOURCE_MODEL))
+            return self._degrade(trace, nl, pre)
+        return self._respond(trace, nl, pre, output, SOURCE_MODEL)
 
     def submit(self, nl: str, timeout: float | None = None) -> Future:
         """Asynchronous :meth:`translate`; resolves to a ServingResponse."""
@@ -572,7 +575,7 @@ class TranslationService(ServingTier):
     # ------------------------------------------------------------------
 
     def _await_model(
-        self, key: str, timeout: float | None
+        self, key: str, timeout: float | None, trace: RequestTrace
     ) -> tuple[str, str | None] | None:
         """Join or create the flight for ``key``; wait for its outcome.
 
@@ -590,14 +593,14 @@ class TranslationService(ServingTier):
                 if self.cache is not None:
                     hit = self.cache.get(key)
                     if hit is not None:
-                        self.metrics.increment("cache.late_hits")
+                        trace.count("cache.late_hits")
                         return (_MODEL_OK, hit.value)
-                    self.metrics.increment("cache.recheck_misses")
+                    trace.count("cache.recheck_misses")
                 flight = self._flights[key] = _Flight()
-                self.metrics.increment("flights.opened")
+                trace.count("flights.opened")
             else:
                 flight.coalesced += 1
-                self.metrics.increment("singleflight.coalesced")
+                trace.count("singleflight.coalesced")
         if owner:
             accepted = self._batcher.submit(
                 BatchRequest(key=key, model_input=key, future=flight.future)
@@ -605,7 +608,7 @@ class TranslationService(ServingTier):
             if not accepted:
                 with self._flights_lock:
                     self._flights.pop(key, None)
-                self.metrics.increment("shed.queue_full")
+                trace.count("shed.queue_full")
                 # Coalesced waiters (if any raced in) must not hang.
                 if not flight.future.done():
                     flight.future.set_result((_MODEL_DOWN, None))
@@ -615,7 +618,7 @@ class TranslationService(ServingTier):
                 timeout=self.config.request_timeout if timeout is None else timeout
             )
         except TimeoutError:
-            self.metrics.increment("timeouts")
+            trace.count("timeouts")
             return None
         except Exception:  # noqa: BLE001 — batcher crashed; treat as outage
             return (_MODEL_DOWN, None)
@@ -666,7 +669,7 @@ class TranslationService(ServingTier):
 
     def _respond(
         self,
-        request_id: int,
+        trace: RequestTrace,
         nl: str,
         pre: PreprocessedQuery,
         model_output: str | None,
@@ -679,14 +682,14 @@ class TranslationService(ServingTier):
         unstructured failure.
         """
         if model_output is not None:
-            response = self._answer(request_id, nl, pre, model_output, OK, source)
+            response = self._answer(trace, nl, pre, model_output, OK, source)
             if response is not None:
                 return response
-        return self._degrade(request_id, nl, pre, model_down=False)
+        return self._degrade(trace, nl, pre, model_down=False)
 
     def _degrade(
         self,
-        request_id: int,
+        trace: RequestTrace,
         nl: str,
         pre: PreprocessedQuery,
         model_down: bool = True,
@@ -695,32 +698,32 @@ class TranslationService(ServingTier):
 
         While the model is down, expired cache entries are served too.
         """
-        self.metrics.increment("degraded")
+        trace.count("degraded")
         t0 = self._clock()
         try:
             if model_down and self.cache is not None:
                 stale = self.cache.get(pre.model_input, allow_expired=True)
                 if stale is None:
-                    self.metrics.increment("cache.stale_misses")
+                    trace.count("cache.stale_misses")
                 elif stale.stale:
-                    self.metrics.increment("cache.stale_hits")
+                    trace.count("cache.stale_hits")
                 else:
-                    self.metrics.increment("cache.degrade_hits")
+                    trace.count("cache.degrade_hits")
                 if stale is not None and stale.value is not None:
                     response = self._answer(
-                        request_id, nl, pre, stale.value, DEGRADED, SOURCE_CACHE
+                        trace, nl, pre, stale.value, DEGRADED, SOURCE_CACHE
                     )
                     if response is not None:
                         return response
             fallback_sql = self._fallback.translate(pre.model_input)
             if fallback_sql is not None:
                 response = self._answer(
-                    request_id, nl, pre, fallback_sql, DEGRADED, SOURCE_FALLBACK
+                    trace, nl, pre, fallback_sql, DEGRADED, SOURCE_FALLBACK
                 )
                 if response is not None:
                     return response
         finally:
-            self.metrics.record_stage("fallback", self._clock() - t0)
+            trace.span("fallback", t0, self._clock())
         code = "model_unavailable" if model_down else "untranslatable"
         message = (
             "model unavailable and no fallback matched"
@@ -728,7 +731,7 @@ class TranslationService(ServingTier):
             else "model produced no translation and no fallback matched"
         )
         return ServingResponse(
-            request_id,
+            trace.request_id,
             nl,
             status=ERROR,
             source=SOURCE_NONE,
@@ -737,7 +740,7 @@ class TranslationService(ServingTier):
 
     def _answer(
         self,
-        request_id: int,
+        trace: RequestTrace,
         nl: str,
         pre: PreprocessedQuery,
         output: str,
@@ -746,15 +749,18 @@ class TranslationService(ServingTier):
     ) -> ServingResponse | None:
         """Post-process ``output``, repair it, and build the response;
         ``None`` when post-processing yields no query."""
-        result = self._postprocess(nl, pre, output)
+        result = self._postprocess(nl, pre, output, trace)
         if result.query is None:
             return None
-        trace = self._maybe_repair(result)
+        repair = self._maybe_repair(result, trace)
         return ServingResponse(
-            request_id, nl, status=status, source=source, result=result, repair=trace
+            trace.request_id, nl, status=status, source=source, result=result,
+            repair=repair,
         )
 
-    def _maybe_repair(self, result: TranslationResult) -> dict | None:
+    def _maybe_repair(
+        self, result: TranslationResult, trace: RequestTrace
+    ) -> dict | None:
         """Run the execute–verify–repair loop over one translated result.
 
         Mutates ``result`` in place when a repaired candidate is
@@ -769,13 +775,13 @@ class TranslationService(ServingTier):
         report = self._repair.run(
             result.query, bindings=result.bindings, location="serving"
         )
-        self.metrics.record_stage("repair", self._clock() - t0)
-        self.metrics.increment("repair.requests")
+        trace.span("repair", t0, self._clock())
+        trace.count("repair.requests")
         if report.outcome == REPAIR_CLEAN:
-            self.metrics.increment("repair.clean")
+            trace.count("repair.clean")
         else:
-            self.metrics.increment("repair.attempted")
-            self.metrics.increment(
+            trace.count("repair.attempted")
+            trace.count(
                 {
                     REPAIR_REPAIRED: "repair.repaired",
                     REPAIR_ABANDONED: "repair.abandoned",
@@ -783,7 +789,7 @@ class TranslationService(ServingTier):
                 }[report.outcome]
             )
             if report.verified:
-                self.metrics.increment("repair.verified")
+                trace.count("repair.verified")
         if report.accepted:
             result.query = report.query
             result.sql = report.sql
@@ -793,12 +799,16 @@ class TranslationService(ServingTier):
         return trace
 
     def _postprocess(
-        self, nl: str, pre: PreprocessedQuery, model_output: str
+        self,
+        nl: str,
+        pre: PreprocessedQuery,
+        model_output: str,
+        trace: RequestTrace,
     ) -> TranslationResult:
         """Restore *this* request's constants into a (possibly shared) output."""
         t0 = self._clock()
         processed = self.nlidb.postprocessor.process(model_output, pre.bindings)
-        self.metrics.record_stage("postprocess", self._clock() - t0)
+        trace.span("postprocess", t0, self._clock())
         return TranslationResult(
             nl=nl,
             model_input=pre.model_input,

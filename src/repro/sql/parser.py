@@ -125,7 +125,7 @@ class _Parser:
             order_by = self._parse_order_items()
         limit = None
         if self._keyword("limit"):
-            limit = int(self._expect(TokenType.NUMBER).value)
+            limit = self._parse_limit()
         return Query(
             select=select,
             from_tables=from_tables,
@@ -137,6 +137,20 @@ class _Parser:
             distinct=distinct,
             span=self._span_from(start),
         )
+
+    def _parse_limit(self) -> int:
+        """A non-negative integer literal.  ``LIMIT 2.5`` and ``LIMIT -1``
+        are refused here, because the engines would disagree on them
+        (a slice drops the last row where sqlite reads "no limit")."""
+        token = self._current
+        value = token.value
+        if not (token.type is TokenType.NUMBER and value.isascii() and value.isdigit()):
+            raise SqlParseError(
+                f"LIMIT takes a non-negative integer but found {value!r} at "
+                f"position {token.position} in {self._text!r}"
+            )
+        self._advance()
+        return int(value)
 
     def _parse_select_items(self):
         items = [self._parse_select_item()]

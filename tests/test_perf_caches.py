@@ -309,3 +309,39 @@ class TestStageStatsZeroGuards:
         assert recorder.format_table()  # no stages: header only, no crash
         recorder.count("merge", 0)
         assert "merge" in recorder.format_table()
+
+
+class TestPerfRecorderStageLookup:
+    """A recorded stage's running totals are built once, on first use."""
+
+    def test_adds_to_one_stage_build_one_stage_stats(self, monkeypatch):
+        from repro.perf import PerfRecorder, instrumentation
+
+        built = []
+
+        class CountingStageStats(instrumentation.StageStats):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(instrumentation, "StageStats", CountingStageStats)
+        recorder = PerfRecorder()
+        for _ in range(50):
+            recorder.add("postprocess", 0.001, items=1)
+        recorder.count("postprocess", 2)
+        with recorder.stage("postprocess"):
+            pass
+        assert len(built) == 1
+        stats = recorder.report()["postprocess"]
+        assert (stats["calls"], stats["items"]) == (51, 52)
+
+    def test_add_with_an_end_brackets_the_real_span(self):
+        from repro.perf import PerfRecorder
+
+        recorder = PerfRecorder()
+        recorder.add("repair", 0.5, items=1, end=10.5)
+        recorder.add("repair", 0.25, items=1, end=12.0)
+        stats = recorder.stages["repair"]
+        assert (stats.first_start, stats.last_end) == (10.0, 12.0)
+        assert stats.wall_seconds == pytest.approx(2.0)
+        assert stats.seconds == pytest.approx(0.75)

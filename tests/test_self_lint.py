@@ -23,9 +23,10 @@ five layering rules:
   differential-test oracle only.
 * **no ``PerfRecorder`` in ``serving/`` outside the registry** — each
   serving tier has one telemetry sink, its ``MetricsRegistry``, and
-  stage timings go through ``MetricsRegistry.record_stage`` under the
-  registry's one lock.  Only ``serving/metrics.py``, where the registry
-  keeps its stage recorder, imports it.
+  stage timings reach it under the registry's one lock, folded from a
+  request's ``RequestTrace`` or through ``record_stage``.  Only
+  ``serving/metrics.py``, where the registry keeps its stage recorder,
+  imports it.
 * **no private name imported across packages** — an underscore name
   (``_results_match``) is private to its package (``repro.sql``,
   ``repro.db``, …); a module in another package imports only public
@@ -188,7 +189,7 @@ def _imports_perf_recorder(node) -> bool:
 def test_serving_records_stages_only_through_the_registry():
     def check(node):
         if _imports_perf_recorder(node):
-            return "record stage timings with MetricsRegistry.record_stage"
+            return "record stage timings through the MetricsRegistry"
 
     findings = _findings(check, packages=("serving",))
     assert [f for f in findings if not f.startswith(f"{STAGE_SINK}:")] == []

@@ -229,6 +229,44 @@ class TestMetricsRegistry:
         assert snap["stages"]["preprocess"]["calls"] == threads * rounds
         assert snap["stages"]["preprocess"]["items"] == threads * rounds
 
+    def test_concurrent_traces_fold_all_or_nothing(self):
+        import sys
+
+        from repro.serving.metrics import RequestTrace
+
+        registry = MetricsRegistry()
+        threads, rounds = 8, 200
+
+        def worker() -> None:
+            for i in range(rounds):
+                trace = RequestTrace(i)
+                trace.span("preprocess", 1.0, 1.5)
+                trace.count("cache.hits")
+                registry.record_request("ok", "cache", 0.0001, trace)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            # A snapshot sees each request with its whole trace or not at all.
+            while any(thread.is_alive() for thread in pool):
+                snap = registry.snapshot()
+                total = snap["requests_total"]
+                assert snap["counters"].get("cache.hits", 0) == total
+                assert snap["stages"].get("preprocess", {}).get("calls", 0) == total
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in pool)
+        snap = registry.snapshot()
+        assert snap["requests_total"] == threads * rounds
+        preprocess = snap["stages"]["preprocess"]
+        assert preprocess["busy_seconds"] == pytest.approx(0.5 * threads * rounds)
+        assert preprocess["wall_seconds"] == pytest.approx(0.5)
+
 
 class TestKeywordFallback:
     def test_matches_table_and_columns(self, patients_db):

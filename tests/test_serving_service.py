@@ -622,3 +622,98 @@ class TestExecutionPath:
                 assert rows == normalize_rows(oracle), sql
             else:  # engines name the failure differently; both must fail
                 assert isinstance(rows, str), sql
+
+
+class TestRequestTrace:
+    """A request records into its own trace; the registry folds the
+    finished trace, its latency and its status in one call."""
+
+    def test_cache_hit_makes_one_registry_call(self, patients_db):
+        from repro.serving import MetricsRegistry
+
+        service, _model = make_service(patients_db)
+        calls = []
+        with service:
+            service.translate(QUESTIONS[0])  # miss: fills the cache
+            for name in dir(MetricsRegistry):
+                method = getattr(service.metrics, name)
+                if name.startswith("_") or not callable(method):
+                    continue
+
+                def counted(*args, _name=name, _method=method, **kwargs):
+                    calls.append(_name)
+                    return _method(*args, **kwargs)
+
+                setattr(service.metrics, name, counted)
+            response = service.translate(QUESTIONS[0])
+        assert response.source == "cache" and response.repair is not None
+        assert calls == ["record_request"]
+        snap = service.metrics.snapshot()
+        assert snap["counters"]["cache.hits"] == 1
+        assert snap["counters"]["repair.requests"] == 2
+        for stage in ("preprocess", "postprocess", "repair"):
+            assert snap["stages"][stage]["calls"] == 2
+
+    def test_stats_show_a_request_only_once_it_returns(self, patients_db):
+        seen = []
+
+        class PeekingModel(ScriptedModel):
+            def translate_batch(self, nls):
+                seen.append(service.stats())
+                return super().translate_batch(nls)
+
+        service = TranslationService(
+            DBPal(patients_db, PeekingModel()), ServingConfig(workers=1)
+        )
+        with service:
+            response = service.translate(QUESTIONS[0])
+            after = service.stats()
+        assert response.ok and len(seen) == 1
+        during = seen[0]
+        assert during["requests_total"] == 0
+        for name in ("cache.misses", "cache.recheck_misses", "flights.opened"):
+            assert name not in during["counters"]
+            assert after["counters"][name] == 1
+        assert "preprocess" not in during["stages"]
+        assert after["requests_total"] == 1
+        for stage in ("preprocess", "postprocess", "repair"):
+            assert after["stages"][stage]["calls"] == 1
+        assert after["accounting"]["consistent"]
+
+    def test_a_raising_request_folds_its_trace_but_counts_no_request(
+        self, patients_db
+    ):
+        service, _model = make_service(patients_db)
+
+        def broken_postprocess(*args):
+            raise RuntimeError("injected postprocess crash")
+
+        service._postprocess = broken_postprocess
+        with service:
+            with pytest.raises(RuntimeError, match="injected"):
+                service.translate(QUESTIONS[0])
+            snap = service.stats()
+        assert snap["stages"]["preprocess"]["calls"] == 1
+        assert snap["counters"]["cache.misses"] == 1
+        assert snap["counters"]["flights.opened"] == 1
+        assert snap["requests_total"] == 0
+        assert "requests_total" not in snap["counters"]
+        assert snap["latency"]["samples"] == 0
+
+    @pytest.mark.parametrize("backend", [None, "sqlite"])
+    def test_a_fractional_limit_answer_gets_a_structured_response(
+        self, patients_db, backend
+    ):
+        class FractionalLimitModel(ScriptedModel):
+            def translate(self, nl):
+                return "SELECT name FROM patients LIMIT 2.5"
+
+        nlidb = DBPal(patients_db, FractionalLimitModel(), backend=backend)
+        with TranslationService(nlidb, ServingConfig(workers=1)) as service:
+            response = service.translate(QUESTIONS[2])
+        assert response.status in ("degraded", "error")
+        if response.status == "degraded":
+            assert response.source == "fallback"
+            assert "LIMIT" not in response.sql
+        else:
+            assert response.failure.code == "untranslatable"

@@ -212,5 +212,18 @@ class TestErrors:
     def test_try_parse_returns_none(self):
         assert try_parse("garbage input") is None
 
+    @pytest.mark.parametrize("limit", ["2.5", "-1", "x", "@N", ""])
+    def test_limit_takes_a_non_negative_integer(self, limit):
+        from repro.errors import E_SQL_PARSE
+
+        sql = f"SELECT name FROM patients LIMIT {limit}"
+        assert try_parse(sql) is None
+        with pytest.raises(SqlParseError, match="LIMIT takes a non-negative integer") as info:
+            parse(sql)
+        assert info.value.code == E_SQL_PARSE
+
+    def test_limit_zero_parses(self):
+        assert parse("SELECT name FROM patients LIMIT 0").limit == 0
+
     def test_try_parse_returns_query(self):
         assert try_parse("SELECT * FROM t") is not None
