@@ -3,10 +3,12 @@
 Measures what the crash-safety layer costs and what it buys, in four
 arms over identical synthesis work (same seed → same corpus bytes):
 
-* ``plain``        — the PR 1 streaming path: ``generate_stream`` into
-  an atomic ``save_jsonl`` (no manifest, no supervisor).  The baseline
-  the ≤5% checkpointing-overhead target is judged against (the same
-  arm ``BENCH_synthesis.json`` measures as ``sequential``/``parallel``).
+* ``plain``        — the streaming path: ``generate_stream`` into an
+  atomic ``save_jsonl``.  It runs shards on the same runner as the
+  checkpointed arm and skips only the manifest and its commits.  The
+  baseline the ≤5% checkpointing-overhead target is judged against (the
+  same arm ``BENCH_synthesis.json`` measures as
+  ``sequential``/``parallel``).
 * ``checkpointed`` — :func:`generate_checkpointed`: per-shard commit
   protocol (flush + fsync + atomic manifest rename) and the resilient
   executor, no faults injected.
@@ -98,7 +100,7 @@ def run_benchmark(profile_name: str, workers: int) -> dict:
     with TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
 
-        # -- plain (PR 1 streaming write, no checkpointing) -------------
+        # -- plain (streaming write, no manifest) -----------------------
         plain_out = tmp_path / "plain.jsonl"
         _clear_global_caches()
         start = time.perf_counter()

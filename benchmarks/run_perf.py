@@ -8,7 +8,7 @@ the same code version:
   baseline cost model;
 * ``sequential`` — ``workers=0`` with caches on (isolates the caching
   speedup);
-* ``parallel_wN`` — ``workers=N`` process-pool execution.
+* ``parallel_wN`` — ``workers=N`` on supervised worker processes.
 
 All arms produce bit-identical corpora (asserted), so the ratios are
 pure execution-speed comparisons.  Numbers are hardware-dependent —

@@ -64,6 +64,7 @@ LINT_CODES: dict[str, tuple[Severity, str]] = {
     "L112": (Severity.ERROR, "SUM/AVG on a non-numeric column"),
     "L113": (Severity.ERROR, "LIKE on a non-text column"),
     "L114": (Severity.ERROR, "placeholder matches no schema element"),
+    "L115": (Severity.ERROR, "SELECT * beside GROUP BY or an aggregate"),
     # Template lint ----------------------------------------------------
     "L201": (Severity.ERROR, "NL pattern uses a slot the builder never supplies"),
     "L202": (Severity.ERROR, "NL and SQL placeholders disagree"),

@@ -271,6 +271,15 @@ class _Analyzer:
                 span=query.span,
                 fix=FixHint("having_without_group_by"),
             )
+        if query.group_by or any(isinstance(i, Aggregate) for i in query.select):
+            for item in query.select:
+                if isinstance(item, Star):
+                    self.emit(
+                        "L115",
+                        "SELECT * cannot stand beside GROUP BY or an aggregate",
+                        span=item.span,
+                        hint="list the columns to return",
+                    )
         if not query.group_by:
             return
         group_keys = set()
@@ -278,14 +287,7 @@ class _Analyzer:
             column = self._resolve(ref, scope)
             group_keys.add(self._identity(ref, column))
         for item in query.select:
-            if isinstance(item, Aggregate):
-                continue
-            if isinstance(item, Star):
-                self.emit(
-                    "L108",
-                    "SELECT * is not allowed in a grouped query",
-                    span=item.span,
-                )
+            if isinstance(item, (Aggregate, Star)):
                 continue
             column = self._resolve(item, scope)
             if self._identity(item, column) not in group_keys:

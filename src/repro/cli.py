@@ -528,14 +528,7 @@ def cmd_generate(args) -> int:
             f"({status}):", file=sys.stderr
         )
         for failure in report.quarantined:
-            print(
-                f"  [{failure.code}] schema={failure.schema_name} "
-                f"template={failure.template_id} "
-                f"seed=(entropy={failure.seed_entropy}, "
-                f"spawn_key={list(failure.seed_spawn_key)}) "
-                f"after {failure.attempts} attempt(s): {failure.message}",
-                file=sys.stderr,
-            )
+            print(f"  {failure}", file=sys.stderr)
     if recorder is not None:
         print(recorder.format_table(title="synthesis perf"))
         rate = written / elapsed if elapsed > 0 else 0.0

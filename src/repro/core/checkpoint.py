@@ -43,6 +43,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -50,7 +51,7 @@ from typing import Callable
 from repro.core.config import ResilienceConfig
 from repro.core.faults import NO_FAULTS, PARTIAL_WRITE, WRITER_KINDS, FaultPlan
 from repro.core.parallel import EngineState, ShardFailure, SynthesisEngine
-from repro.core.templates import TrainingPair, dedupe_pairs
+from repro.core.templates import TrainingPair
 from repro.errors import (
     CorpusIntegrityError,
     GenerationError,
@@ -378,7 +379,6 @@ class CheckpointedWriter:
         skip = set(state.completed) | {
             failure.shard_index for failure in quarantined
         }
-        seen = state.seen
         hasher = state.hasher
         position = state.keep_bytes
         new_pairs = 0
@@ -392,25 +392,19 @@ class CheckpointedWriter:
             manifest.status = STATUS_IN_PROGRESS
             manifest.save(self.manifest_path)
             try:
-                for outcome in self.engine.iter_outcomes(
+                for outcome, batch in self.engine.iter_batches(
                     workers=workers,
+                    recorder=recorder,
                     resilience=self.resilience,
                     faults=self.faults,
                     skip=frozenset(skip),
+                    seen=state.seen,
                 ):
                     if not outcome.ok:
                         quarantined.append(outcome.failure)
                         manifest.failed_shards.append(outcome.failure.to_dict())
                         manifest.save(self.manifest_path)
                         continue
-                    if recorder is not None:
-                        for stage, seconds in outcome.timings.items():
-                            recorder.add(stage, seconds, items=len(outcome.pairs))
-                        with recorder.stage("merge") as stats:
-                            batch = dedupe_pairs(outcome.pairs, seen)
-                            stats.items += len(batch)
-                    else:
-                        batch = dedupe_pairs(outcome.pairs, seen)
                     if on_batch is not None:
                         on_batch(batch)
                     data = "".join(self.encode(pair) for pair in batch).encode(
@@ -484,12 +478,7 @@ class CheckpointedWriter:
 
     def _checkpoint(self, handle, manifest: CorpusManifest, recorder) -> None:
         """Flush corpus bytes to disk, then commit the manifest."""
-        if recorder is not None:
-            with recorder.stage("checkpoint"):
-                handle.flush()
-                os.fsync(handle.fileno())
-                manifest.save(self.manifest_path)
-        else:
+        with recorder.stage("checkpoint") if recorder is not None else nullcontext():
             handle.flush()
             os.fsync(handle.fileno())
             manifest.save(self.manifest_path)

@@ -13,34 +13,38 @@ template's instances.  This module provides that sharded engine:
   (schema-major, template-minor) and globally deduplicated with one
   shared key set, making the corpus for ``workers=N`` **bit-identical**
   to ``workers=0`` for the same seed and configuration.
-* **Inline or multi-process.**  ``workers=0`` runs the shard loop in
-  the calling process (no pool, no pickling); ``workers>0`` fans shards
-  out over a :class:`~concurrent.futures.ProcessPoolExecutor`, shipping
-  the immutable engine state once per worker via the pool initializer
-  so per-task payloads are a single integer.
+* **One runner, inline or supervised.**  Every shard runs through
+  :meth:`SynthesisEngine.iter_outcomes`: ``workers=0`` runs the shard
+  loop in the calling process (no processes, no pickling);
+  ``workers>0`` runs shards on supervised worker processes, each handed
+  the immutable engine state once when it is started, so per-task
+  messages are a shard index and an attempt number.
 
 Workers also time their own stages (generate/augment/lemmatize) and
 return ``{stage: seconds}`` alongside the pairs, so a
 :class:`repro.perf.PerfRecorder` can aggregate per-stage CPU time even
 for multi-process runs.
 
-On top of the plain sharded engine sits the **fault-tolerance layer**
-(:meth:`SynthesisEngine.iter_outcomes`): per-shard execution wrapped in
-a wall-clock timeout and bounded retry with exponential backoff,
-supervised worker processes whose death is detected and whose shard is
-re-dispatched, and quarantine — a shard that keeps failing is reported
-as a :class:`ShardFailure` naming its (schema, template, seed) triple
-instead of killing the run.  Because retries rerun a shard with the
-same ``SeedSequence``-derived streams, resilience never changes the
-corpus, only whether the run survives.
+The runner is fault-tolerant on both paths: per-shard execution with
+bounded retry and exponential backoff, and quarantine — a shard that
+keeps failing is reported as a :class:`ShardFailure` naming its
+(schema, template, seed) triple.  Supervised workers add a wall-clock
+timeout per shard and detect a worker's death and re-dispatch its
+shard.  Because retries rerun a shard with the same
+``SeedSequence``-derived streams, resilience never changes the corpus,
+only whether the run survives.  :meth:`SynthesisEngine.iter_batches`
+is the one merge step over those outcomes; the streaming pipeline
+raises a quarantined shard as a :class:`~repro.errors.GenerationError`,
+the checkpointed writer records it and carries on.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing as mp
+import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as _conn_wait
 from typing import Iterator, Sequence
@@ -68,8 +72,8 @@ from repro.schema.schema import Schema
 class EngineState:
     """Everything a shard needs; immutable and picklable.
 
-    Shipped to pool workers exactly once (via the initializer), after
-    which tasks are identified by their shard index alone.
+    Handed to each supervised worker once, when the worker starts,
+    after which tasks are identified by their shard index alone.
     """
 
     schemas: tuple[Schema, ...]
@@ -146,24 +150,6 @@ def synthesize_shard(
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing
-# ----------------------------------------------------------------------
-
-_WORKER_STATE: EngineState | None = None
-
-
-def _init_worker(state: EngineState) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _run_shard(shard_index: int):
-    if _WORKER_STATE is None:  # pragma: no cover - defensive
-        raise GenerationError("synthesis worker used before initialization")
-    return synthesize_shard(_WORKER_STATE, shard_index)
-
-
-# ----------------------------------------------------------------------
 # Fault-tolerance layer: outcomes, supervised workers, retry/quarantine
 # ----------------------------------------------------------------------
 
@@ -204,6 +190,21 @@ class ShardFailure:
             "attempts": self.attempts,
         }
 
+    def __str__(self) -> str:
+        return (
+            f"[{self.code}] schema={self.schema_name} "
+            f"template={self.template_id} "
+            f"seed=(entropy={self.seed_entropy}, "
+            f"spawn_key={list(self.seed_spawn_key)}) "
+            f"after {self.attempts} attempt(s): {self.message}"
+        )
+
+    def error(self) -> GenerationError:
+        """The coded error a run that cannot skip shards raises."""
+        return GenerationError(
+            f"shard {self.shard_index} failed: {self}", code=self.code
+        )
+
 
 @dataclass(frozen=True)
 class ShardOutcome:
@@ -221,16 +222,28 @@ class ShardOutcome:
         return self.status == OUTCOME_OK
 
 
+#: How often an idle supervised worker checks that its parent lives.
+_PARENT_CHECK_SECONDS = 1.0
+
+
 def _worker_main(conn: Connection, state: EngineState, faults: FaultPlan) -> None:
     """Supervised worker loop: recv (shard, attempt), send the result.
 
     Runs in a child process.  Any exception a shard raises — organic or
     injected — is reported over the pipe and the worker stays alive for
     the next task; only process death (KILL faults, real crashes of the
-    interpreter) ends the loop, which the parent detects as EOF.
+    interpreter) ends the loop, which the parent detects as EOF.  An
+    idle worker whose parent was killed outright exits too: no "stop"
+    comes, and under ``fork`` the workers started after it hold its
+    pipe open, so no EOF comes either.
     """
+    parent = os.getppid()
     try:
         while True:
+            if not conn.poll(_PARENT_CHECK_SECONDS):
+                if os.getppid() != parent:
+                    return
+                continue
             message = conn.recv()
             if message[0] == "stop":
                 return
@@ -283,13 +296,12 @@ class _Worker:
 class _ShardSupervisor:
     """Runs shards on supervised workers with timeout/retry/quarantine.
 
-    Unlike :class:`~concurrent.futures.ProcessPoolExecutor` — where one
-    dead worker breaks the whole pool and a hung task occupies a slot
-    forever — the supervisor owns each worker process individually: a
-    shard that exceeds its deadline gets its worker killed and
-    replaced, a worker that dies mid-shard is detected via pipe EOF and
-    its shard re-dispatched, and a shard that exhausts its attempt
-    budget is quarantined while the rest of the run proceeds.
+    The supervisor owns each worker process individually, so one dead
+    or hung worker never takes the pool with it: a shard that exceeds
+    its deadline gets its worker killed and replaced, a worker that
+    dies mid-shard is detected via pipe EOF and its shard
+    re-dispatched, and a shard that exhausts its attempt budget is
+    quarantined while the rest of the run proceeds.
     """
 
     def __init__(
@@ -303,7 +315,11 @@ class _ShardSupervisor:
         self._resilience = resilience
         self._faults = faults
         self._ctx = mp.get_context()
-        self._workers = [self._spawn() for _ in range(max(1, workers))]
+        self._workers = [self._spawn() for _ in range(workers)]
+        # Per-run state, shared by run() and _fail_attempt().
+        self._pending: list[tuple[float, int]] = []
+        self._attempts: dict[int, int] = {}
+        self._results: dict[int, ShardOutcome] = {}
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -316,6 +332,12 @@ class _ShardSupervisor:
         child_conn.close()  # parent keeps only its end
         return _Worker(process=process, conn=parent_conn)
 
+    def _replace(self, worker: _Worker) -> None:
+        """Kill ``worker`` and start a fresh one in its place."""
+        self._workers.remove(worker)
+        worker.destroy()
+        self._workers.append(self._spawn())
+
     def shutdown(self) -> None:
         for worker in self._workers:
             worker.destroy()
@@ -323,59 +345,44 @@ class _ShardSupervisor:
 
     # -- attempt bookkeeping -------------------------------------------
 
-    def _fail_attempt(
-        self,
-        shard: int,
-        code: str,
-        message: str,
-        attempts: dict[int, int],
-        pending: list[tuple[float, int]],
-        results: dict[int, ShardOutcome],
-    ) -> None:
-        attempts[shard] = attempts.get(shard, 0) + 1
-        failed = attempts[shard]
+    def _fail_attempt(self, shard: int, code: str, message: str) -> None:
+        failed = self._attempts[shard] = self._attempts.get(shard, 0) + 1
         if failed >= self._resilience.max_attempts:
-            results[shard] = _quarantine_outcome(
+            self._results[shard] = _quarantine_outcome(
                 self._state, shard, code, message, failed
             )
             return
         not_before = time.monotonic() + self._resilience.backoff_delay(failed)
-        pending.append((not_before, shard))
+        heapq.heappush(self._pending, (not_before, shard))
 
     # -- main loop ------------------------------------------------------
 
     def run(self, shards: Sequence[int]) -> Iterator[ShardOutcome]:
         """Yield a terminal :class:`ShardOutcome` per shard, in order."""
         order = list(shards)
-        pending: list[tuple[float, int]] = [(0.0, s) for s in order]
-        attempts: dict[int, int] = {}
-        results: dict[int, ShardOutcome] = {}
+        pending, attempts, results = self._pending, self._attempts, self._results
+        # A heap of (not-before time, shard): its top is the next shard
+        # to dispatch, lowest index first among those ready.
+        pending.extend((0.0, s) for s in order)
+        heapq.heapify(pending)
         yield_at = 0
 
         while yield_at < len(order):
             now = time.monotonic()
             # Dispatch eligible shards (lowest index first) to idle workers.
-            idle = [w for w in self._workers if not w.busy]
-            if idle and pending:
-                pending.sort(key=lambda item: (item[0], item[1]))
-                for worker in idle:
-                    ready = next(
-                        (i for i, (t, _) in enumerate(pending) if t <= now), None
+            for worker in [w for w in self._workers if not w.busy]:
+                if not pending or pending[0][0] > now:
+                    break
+                _, shard = heapq.heappop(pending)
+                try:
+                    worker.dispatch(
+                        shard,
+                        attempts.get(shard, 0),
+                        self._resilience.shard_timeout,
                     )
-                    if ready is None:
-                        break
-                    _, shard = pending.pop(ready)
-                    try:
-                        worker.dispatch(
-                            shard,
-                            attempts.get(shard, 0),
-                            self._resilience.shard_timeout,
-                        )
-                    except OSError:  # worker died while idle — replace it
-                        self._workers.remove(worker)
-                        worker.destroy()
-                        self._workers.append(self._spawn())
-                        pending.append((now, shard))
+                except OSError:  # worker died while idle — replace it
+                    self._replace(worker)
+                    heapq.heappush(pending, (now, shard))
 
             # Surface every terminally-resolved shard in shard order.
             while yield_at < len(order) and order[yield_at] in results:
@@ -389,7 +396,7 @@ class _ShardSupervisor:
             busy = [w for w in self._workers if w.busy]
             wakeups = [w.deadline for w in busy if w.deadline is not None]
             if pending and any(not w.busy for w in self._workers):
-                wakeups.append(min(t for t, _ in pending))
+                wakeups.append(pending[0][0])
             timeout = None
             if wakeups:
                 timeout = max(0.0, min(wakeups) - time.monotonic())
@@ -405,16 +412,11 @@ class _ShardSupervisor:
                     message = worker.conn.recv()
                 except (EOFError, OSError):
                     # Worker died mid-shard (e.g. SIGKILL). Replace it.
-                    self._workers.remove(worker)
-                    worker.destroy()
-                    self._workers.append(self._spawn())
+                    self._replace(worker)
                     self._fail_attempt(
                         shard,
                         E_WORKER_DIED,
                         f"worker process died while running shard {shard}",
-                        attempts,
-                        pending,
-                        results,
                     )
                     continue
                 worker.clear()
@@ -429,14 +431,7 @@ class _ShardSupervisor:
                     )
                 else:
                     _, shard_index, _attempt, detail = message
-                    self._fail_attempt(
-                        shard_index,
-                        E_SHARD_CRASH,
-                        detail,
-                        attempts,
-                        pending,
-                        results,
-                    )
+                    self._fail_attempt(shard_index, E_SHARD_CRASH, detail)
 
             # Enforce per-shard deadlines: kill and replace the worker,
             # charge the shard one failed attempt.
@@ -447,17 +442,12 @@ class _ShardSupervisor:
                 if worker.conn in ready_conns or now < worker.deadline:
                     continue
                 shard = worker.shard
-                self._workers.remove(worker)
-                worker.destroy()
-                self._workers.append(self._spawn())
+                self._replace(worker)
                 self._fail_attempt(
                     shard,
                     E_SHARD_TIMEOUT,
                     f"shard {shard} exceeded "
                     f"{self._resilience.shard_timeout:g}s timeout",
-                    attempts,
-                    pending,
-                    results,
                 )
 
 
@@ -513,29 +503,6 @@ class SynthesisEngine:
     def shard_count(self) -> int:
         return self.state.shard_count
 
-    def iter_shards(
-        self, workers: int = 0
-    ) -> Iterator[tuple[list[TrainingPair], dict[str, float]]]:
-        """Yield every shard's (pairs, stage timings) in shard order.
-
-        ``workers=0`` runs inline; ``workers>0`` uses a process pool.
-        The yielded sequence is identical either way — ``Executor.map``
-        preserves submission order, and shard contents depend only on
-        (seed, shard index).
-        """
-        indices = range(self.state.shard_count)
-        if workers <= 0:
-            for shard_index in indices:
-                yield synthesize_shard(self.state, shard_index)
-            return
-        chunksize = max(1, self.state.shard_count // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(self.state,),
-        ) as pool:
-            yield from pool.map(_run_shard, indices, chunksize=chunksize)
-
     def iter_outcomes(
         self,
         workers: int = 0,
@@ -554,9 +521,10 @@ class SynthesisEngine:
         With ``workers >= 1`` shards run on individually supervised
         worker processes: a hung shard is killed at
         ``resilience.shard_timeout`` and a dead worker is detected and
-        replaced, its shard re-dispatched.  The inline path
-        (``workers=0``) retries and quarantines crashes but cannot
-        preempt hangs or survive process death.
+        replaced, its shard re-dispatched; no more workers are started
+        than there are shards to run.  The inline path (``workers=0``)
+        retries and quarantines crashes but cannot preempt hangs or
+        survive process death.
 
         Retried shards rerun with identical RNG streams, so for any
         fault plan that eventually lets every shard succeed the merged
@@ -564,11 +532,13 @@ class SynthesisEngine:
         """
         resilience = resilience or ResilienceConfig()
         shards = [i for i in range(self.state.shard_count) if i not in skip]
-        if workers <= 0:
+        if workers <= 0 or not shards:
             for shard_index in shards:
                 yield self._run_inline(shard_index, resilience, faults)
             return
-        supervisor = _ShardSupervisor(self.state, workers, resilience, faults)
+        supervisor = _ShardSupervisor(
+            self.state, min(workers, len(shards)), resilience, faults
+        )
         try:
             yield from supervisor.run(shards)
         finally:
@@ -608,32 +578,34 @@ class SynthesisEngine:
             )
 
     def iter_batches(
-        self, workers: int = 0, recorder=None
-    ) -> Iterator[list[TrainingPair]]:
-        """Globally deduplicated per-shard batches, in stable order.
+        self,
+        workers: int = 0,
+        recorder=None,
+        resilience: ResilienceConfig | None = None,
+        faults: FaultPlan = NO_FAULTS,
+        skip: frozenset[int] | set[int] = frozenset(),
+        seen: set[tuple[str, str]] | None = None,
+    ) -> Iterator[tuple[ShardOutcome, list[TrainingPair]]]:
+        """Each shard's outcome with its merged batch, in shard order.
 
-        This is the streaming surface: concatenating the batches gives
-        the canonical corpus without ever holding shards that were
-        already written.  ``recorder`` (a
-        :class:`repro.perf.PerfRecorder`) aggregates worker stage
-        timings and merge time when provided.
+        The one merge step over :meth:`iter_outcomes`: a shard's pairs
+        are deduplicated against ``seen``, the keys of everything
+        merged so far (a resumed run passes the keys of the prefix it
+        kept), so concatenating the batches gives the canonical corpus.
+        ``recorder`` (a :class:`repro.perf.PerfRecorder`) aggregates
+        the workers' stage timings and the merge time when provided.
+        A quarantined shard comes with an empty batch.
         """
-        seen: set[tuple[str, str]] = set()
-        for pairs, timings in self.iter_shards(workers=workers):
-            if recorder is not None:
-                for stage, seconds in timings.items():
-                    recorder.add(stage, seconds, items=len(pairs))
-                with recorder.stage("merge") as stats:
-                    batch = dedupe_pairs(pairs, seen)
-                    stats.items += len(batch)
+        seen = set() if seen is None else seen
+        for outcome in self.iter_outcomes(workers, resilience, faults, skip):
+            if not outcome.ok:
+                yield outcome, []
+            elif recorder is None:
+                yield outcome, dedupe_pairs(outcome.pairs, seen)
             else:
-                batch = dedupe_pairs(pairs, seen)
-            if batch:
-                yield batch
-
-    def run(self, workers: int = 0, recorder=None) -> list[TrainingPair]:
-        """The full merged corpus as one list."""
-        merged: list[TrainingPair] = []
-        for batch in self.iter_batches(workers=workers, recorder=recorder):
-            merged.extend(batch)
-        return merged
+                for stage, seconds in outcome.timings.items():
+                    recorder.add(stage, seconds, items=len(outcome.pairs))
+                with recorder.stage("merge") as stats:
+                    batch = dedupe_pairs(outcome.pairs, seen)
+                    stats.items += len(batch)
+                yield outcome, batch

@@ -82,6 +82,15 @@ class TrainingCorpus:
         return train, test
 
 
+def _corpus_batches(merged) -> Iterator[list[TrainingPair]]:
+    """The non-empty batches of a merge; a quarantined shard raises."""
+    for outcome, batch in merged:
+        if not outcome.ok:
+            raise outcome.failure.error()
+        if batch:
+            yield batch
+
+
 class TrainingPipeline:
     """Generate → augment → lemmatize, then train any pluggable model.
 
@@ -89,9 +98,13 @@ class TrainingPipeline:
     is the order-stable merge of per-(schema, template) shards, each
     with its own ``SeedSequence``-derived RNG streams.  ``workers``
     selects the execution strategy only — ``0`` (default) runs the
-    shard loop inline in this process, ``N > 0`` fans shards out over a
-    process pool — and never changes the corpus: for a given seed and
-    configuration every worker count produces bit-identical output.
+    shard loop inline in this process, ``N > 0`` runs shards on ``N``
+    supervised worker processes — and never changes the corpus: for a
+    given seed and configuration every worker count produces
+    bit-identical output.  Both retry a failing shard under the default
+    :class:`~repro.core.config.ResilienceConfig`; one that still fails
+    stops :meth:`generate_stream` with a coded
+    :class:`~repro.errors.GenerationError` naming the shard.
     """
 
     def __init__(
@@ -184,11 +197,16 @@ class TrainingPipeline:
         without holding more than one shard's pairs at a time on the
         consumer side.  ``workers=None`` uses the pipeline's configured
         worker count; ``recorder`` is an optional
-        :class:`repro.perf.PerfRecorder` fed per-stage timings.
+        :class:`repro.perf.PerfRecorder` fed per-stage timings.  A shard
+        that fails every attempt raises its
+        :meth:`~repro.core.parallel.ShardFailure.error` once the batches
+        before it have been yielded.
         """
         self._lint_gate()
         effective = self._workers if workers is None else workers
-        return self._engine().iter_batches(workers=effective, recorder=recorder)
+        return _corpus_batches(
+            self._engine().iter_batches(workers=effective, recorder=recorder)
+        )
 
     def generate(
         self, workers: int | None = None, recorder=None

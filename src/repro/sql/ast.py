@@ -31,6 +31,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
+from repro.errors import SqlParseError
+
 #: Sentinel table name standing for a to-be-inferred join path (§5.1).
 JOIN_PLACEHOLDER = "@JOIN"
 
@@ -321,6 +323,16 @@ class Query:
     limit: int | None = None
     distinct: bool = False
     span: Span | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        # Checked here, not only in the parser, so no engine or printer
+        # sees a limit built in code: a Python slice would drop rows
+        # where sqlite reads a negative LIMIT as "no limit".
+        limit = self.limit
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise SqlParseError(
+                f"LIMIT takes a non-negative integer but got {limit!r}"
+            )
 
     @property
     def uses_join_placeholder(self) -> bool:

@@ -1,4 +1,4 @@
-"""Mutation suite for the template, schema, and corpus passes.
+"""Mutation suite for the template, schema, corpus, and SQL passes.
 
 Each test seeds one defect into an otherwise healthy artifact and
 asserts the analyzer reports it under its stable ``L###`` code — the
@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.analysis import (
+    analyze_sql,
     audit_corpus,
     explain_dead_template,
     lint_schema,
@@ -21,9 +22,12 @@ from repro.analysis import (
 )
 from repro.core.seed_templates import SEED_TEMPLATES
 from repro.core.templates import Family, SeedTemplate
+from repro.db.executor import execute
+from repro.errors import ExecutionError
 from repro.schema.column import Column, ColumnType
 from repro.schema.schema import Schema
 from repro.schema.table import ForeignKey, Table
+from repro.sql.parser import parse
 
 
 def template(tid, kind, nl, family=Family.SELECT):
@@ -190,6 +194,27 @@ def test_disconnected_table_is_L404():
 def test_catalog_schemas_are_clean(patients, geography):
     assert lint_schema(patients) == []
     assert lint_schema(geography) == []
+
+
+# ----------------------------------------------------------------------
+# SQL semantics (L1xx): lint rejects what the executor cannot run
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT *, MIN(diagnosis) FROM patients",
+        "SELECT * FROM patients GROUP BY gender",
+    ],
+)
+def test_star_beside_grouping_is_L115_and_fails_execution(
+    patients, patients_db, sql
+):
+    diags = analyze_sql(sql, patients)
+    assert codes(diags) == ["L115"]
+    assert diags[0].severity.value == "error"
+    with pytest.raises(ExecutionError):
+        execute(parse(sql), patients_db)
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,7 @@ PATIENTS_MUTATIONS = [
     ("L112", "SELECT SUM(name) FROM patients"),
     ("L113", "SELECT * FROM patients WHERE age LIKE 'x%'"),
     ("L114", "SELECT * FROM patients WHERE age = @BOGUS"),
+    ("L115", "SELECT *, MIN(diagnosis) FROM patients"),
 ]
 
 
@@ -105,6 +106,9 @@ CLEAN_PATIENTS = [
     "HAVING COUNT(*) > 5",
     "SELECT * FROM patients WHERE age BETWEEN @AGE.LOW AND @AGE.HIGH",
     "SELECT * FROM patients WHERE name LIKE 'a%'",
+    "SELECT COUNT(*) FROM patients",
+    "SELECT COUNT(*) FROM patients WHERE EXISTS "
+    "(SELECT * FROM patients WHERE age > 30)",
 ]
 
 

@@ -7,6 +7,12 @@ materializing must never change a single pair or its position.
 """
 
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +23,10 @@ from repro.core import (
     dedupe_pairs,
     synthesize_shard,
 )
+from repro.core import parallel
 from repro.core.parallel import EngineState
 from repro.core.seed_templates import SEED_TEMPLATES
-from repro.errors import GenerationError
+from repro.errors import E_SHARD_CRASH, GenerationError
 
 
 def corpus_fingerprint(corpus):
@@ -162,6 +169,125 @@ class TestEngine:
             SynthesisEngine([], GenerationConfig())
         with pytest.raises(GenerationError):
             SynthesisEngine(patients, GenerationConfig(), templates=())
+
+
+class TestSingleRunner:
+    """Every shard runs through ``iter_outcomes``, whatever the caller."""
+
+    FAILING = 3
+
+    @pytest.fixture
+    def flaky(self, monkeypatch):
+        """Make shard ``FAILING`` raise on the attempts it is given."""
+        real = parallel.synthesize_shard
+
+        def install(failing_attempts):
+            def synthesize(state, shard_index, attempt=0, faults=parallel.NO_FAULTS):
+                if shard_index == self.FAILING and attempt in failing_attempts:
+                    raise RuntimeError("poisoned shard")
+                return real(state, shard_index, attempt=attempt, faults=faults)
+
+            monkeypatch.setattr(parallel, "synthesize_shard", synthesize)
+
+        return install
+
+    def test_a_shard_failing_every_attempt_stops_the_stream(
+        self, patients, small_config, flaky
+    ):
+        pipeline = TrainingPipeline(patients, small_config, seed=6)
+        earlier = [
+            batch
+            for outcome, batch in pipeline._engine().iter_batches()
+            if outcome.shard_index < self.FAILING and batch
+        ]
+        flaky(failing_attempts=range(99))
+        stream = pipeline.generate_stream(workers=0)
+        yielded = []
+        with pytest.raises(GenerationError) as excinfo:
+            for batch in stream:
+                yielded.append(batch)
+        assert yielded == earlier
+        error = excinfo.value
+        assert error.code == E_SHARD_CRASH
+        template = SEED_TEMPLATES[self.FAILING]
+        assert f"schema={patients.name}" in str(error)
+        assert f"template={template.tid}" in str(error)
+        assert "poisoned shard" in str(error)
+
+    def test_a_shard_failing_once_is_retried_into_the_same_corpus(
+        self, patients, small_config, flaky
+    ):
+        clean = TrainingPipeline(patients, small_config, seed=6).generate()
+        flaky(failing_attempts={0})
+        retried = TrainingPipeline(patients, small_config, seed=6).generate()
+        assert corpus_fingerprint(retried) == corpus_fingerprint(clean)
+
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_supervisor_forks_no_more_workers_than_shards(
+        self, patients, small_config, monkeypatch, left
+    ):
+        spawned = []
+        real_spawn = parallel._ShardSupervisor._spawn
+
+        def spy(supervisor):
+            spawned.append(1)
+            return real_spawn(supervisor)
+
+        monkeypatch.setattr(parallel._ShardSupervisor, "_spawn", spy)
+        engine = SynthesisEngine(patients, small_config)
+        assert engine.shard_count == 99
+        skip = set(range(engine.shard_count - left))
+        outcomes = list(engine.iter_outcomes(workers=4, skip=skip))
+        assert len(spawned) == left
+        assert [o.ok for o in outcomes] == [True] * left
+
+
+_ORPHAN_SCRIPT = """
+import multiprocessing, time
+from repro.core import GenerationConfig, SynthesisEngine
+from repro.schema import patients_schema
+
+engine = SynthesisEngine(patients_schema(), GenerationConfig(size_slotfills=2))
+outcomes = engine.iter_outcomes(workers=2)
+next(outcomes)
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+    )
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 20
+    try:
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 class TestDedupeHelper:

@@ -1,5 +1,7 @@
 """Tests for SQL AST node helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.sql import (
@@ -15,6 +17,7 @@ from repro.sql import (
     conjuncts,
     parse,
 )
+from repro.errors import E_SQL_PARSE, SqlParseError
 from repro.sql.ast import And
 
 
@@ -141,3 +144,10 @@ class TestQueryHelpers:
         with pytest.raises(AttributeError):
             q.limit = 5
         assert hash(q) == hash(parse("SELECT * FROM t"))
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, "3", True])
+    def test_limit_built_in_code_must_be_a_non_negative_int(self, limit):
+        query = parse("SELECT name FROM patients")
+        with pytest.raises(SqlParseError) as excinfo:
+            dataclasses.replace(query, limit=limit)
+        assert excinfo.value.code == E_SQL_PARSE
