@@ -469,6 +469,9 @@ def cmd_generate(args) -> int:
             families[pair.family.value] += 1
             augmentations[pair.augmentation] += 1
 
+    resilience = ResilienceConfig(
+        shard_timeout=args.shard_timeout, max_attempts=args.max_attempts
+    )
     start = time.perf_counter()
     if args.no_checkpoint:
         if args.resume:
@@ -481,16 +484,13 @@ def cmd_generate(args) -> int:
                 yield batch
 
         stream = chain.from_iterable(
-            tally(pipeline.generate_stream(recorder=recorder))
+            tally(pipeline.generate_stream(recorder=recorder, resilience=resilience))
         )
         writer = save_jsonl if args.format == "jsonl" else save_tsv
         written = writer(stream, args.output)
         report = None
         status = STATUS_COMPLETE
     else:
-        resilience = ResilienceConfig(
-            shard_timeout=args.shard_timeout, max_attempts=args.max_attempts
-        )
         try:
             with _graceful_sigterm():
                 report = pipeline.generate_checkpointed(

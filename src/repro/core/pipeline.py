@@ -187,7 +187,7 @@ class TrainingPipeline:
         )
 
     def generate_stream(
-        self, workers: int | None = None, recorder=None
+        self, workers: int | None = None, recorder=None, resilience=None
     ) -> Iterator[list[TrainingPair]]:
         """Stream the corpus as globally deduplicated per-shard batches.
 
@@ -197,15 +197,18 @@ class TrainingPipeline:
         without holding more than one shard's pairs at a time on the
         consumer side.  ``workers=None`` uses the pipeline's configured
         worker count; ``recorder`` is an optional
-        :class:`repro.perf.PerfRecorder` fed per-stage timings.  A shard
-        that fails every attempt raises its
-        :meth:`~repro.core.parallel.ShardFailure.error` once the batches
-        before it have been yielded.
+        :class:`repro.perf.PerfRecorder` fed per-stage timings, and
+        ``resilience`` a :class:`~repro.core.config.ResilienceConfig`
+        (the default when ``None``).  A shard that fails every attempt
+        raises its :meth:`~repro.core.parallel.ShardFailure.error` once
+        the batches before it have been yielded.
         """
         self._lint_gate()
         effective = self._workers if workers is None else workers
         return _corpus_batches(
-            self._engine().iter_batches(workers=effective, recorder=recorder)
+            self._engine().iter_batches(
+                workers=effective, recorder=recorder, resilience=resilience
+            )
         )
 
     def generate(

@@ -163,9 +163,8 @@ class RepairBudget:
 class _BudgetClock:
     """Per-run charge meter: real seconds + fault-injected virtual ones."""
 
-    def __init__(self, budget: RepairBudget, clock) -> None:
+    def __init__(self, budget: RepairBudget) -> None:
         self.budget = budget
-        self._clock = clock
         self.spent = 0.0
         self.attempts_used = 0
 
@@ -261,18 +260,65 @@ class RepairTrace:
 
 @dataclass
 class RepairReport:
-    """Terminal result of one pipeline run."""
+    """Terminal result of one pipeline run.
+
+    A clean-verdict memo hit carries no trace object, only its probe's
+    ``(budget, seconds)``: :meth:`trace_dict` writes its one-step
+    account straight into a dict, and :attr:`trace` builds the
+    :class:`RepairTrace` only when a caller asks for one.
+    """
 
     query: Query
     sql: str
     outcome: str
     verified: bool
-    trace: RepairTrace
+    _trace: RepairTrace | None = field(default=None, repr=False)
+    _probe: tuple[RepairBudget, float] | None = field(default=None, repr=False)
 
     @property
     def accepted(self) -> bool:
         """Whether the caller should serve ``query`` in place of its input."""
         return self.outcome == REPAIRED
+
+    @property
+    def trace(self) -> RepairTrace:
+        if self._trace is None:  # a memo hit
+            trace = RepairTrace(outcome=CLEAN, budget=self.trace_dict()["budget"])
+            trace.step("verify", "lint", detail="0 error(s)", seconds=self._probe[1])
+            self._trace = trace
+        return self._trace
+
+    def trace_dict(self) -> dict:
+        """A fresh ``trace.to_dict()``, built without the trace objects
+        on a memo hit."""
+        if self._trace is not None:
+            return self._trace.to_dict()
+        budget, seconds = self._probe
+        spent = max(0.0, seconds)
+        return {
+            "outcome": CLEAN,
+            "verified": False,
+            "error_code": None,
+            "reason": "",
+            "codes_tried": [],
+            "edits": [],
+            "executions": [],
+            "steps": [
+                {
+                    "stage": "verify",
+                    "action": "lint",
+                    "seconds": round(seconds, 6),
+                    "detail": "0 error(s)",
+                }
+            ],
+            "budget": {
+                "max_attempts": budget.max_attempts,
+                "deadline": budget.deadline,
+                "attempts_used": 0,
+                "spent_seconds": round(spent, 6),
+                "exhausted": spent >= budget.deadline,
+            },
+        }
 
 
 @dataclass(frozen=True)
@@ -829,20 +875,36 @@ class RepairPipeline:
     # ------------------------------------------------------------------
 
     def run(self, query: Query, bindings=(), location: str = "serving") -> RepairReport:
-        """Repair one candidate; never raises."""
+        """Repair one candidate; never raises.
+
+        The lock hold that takes the run index also probes the
+        clean-verdict memo: a candidate whose printed SQL already linted
+        clean is ``CLEAN`` at once, and no trace objects are built.
+        """
+        sql = to_sql(query)
+        t0 = self._clock()
         with self._lock:
             run_index = self._runs
             self._runs += 1
+            hit = sql in self._clean_sql
+            if hit:
+                self._clean_sql.move_to_end(sql)
+        if hit:
+            return RepairReport(
+                query, sql, CLEAN, False, _probe=(self.budget, self._clock() - t0)
+            )
         trace = RepairTrace()
-        meter = _BudgetClock(self.budget, self._clock)
+        meter = _BudgetClock(self.budget)
         try:
-            report = self._run(query, list(bindings), location, run_index, trace, meter)
+            report = self._run(
+                query, sql, list(bindings), location, run_index, trace, meter
+            )
         except Exception as exc:  # noqa: BLE001 — the pipeline never raises
             trace.step("repair", "crash", detail=f"{type(exc).__name__}: {exc}")
             trace.outcome = ABANDONED
             trace.reason = "internal error"
             trace.error_code = E_REPAIR_UNFIXABLE
-            report = RepairReport(query, to_sql(query), ABANDONED, False, trace)
+            report = RepairReport(query, sql, ABANDONED, False, trace)
         trace.budget = meter.to_dict()
         return report
 
@@ -878,45 +940,22 @@ class RepairPipeline:
         )
         return errors
 
-    def _lint_memoized(
-        self,
-        query: Query,
-        sql: str,
-        location: str,
-        meter: _BudgetClock,
-        trace: RepairTrace,
-    ):
-        """:meth:`_lint`, answered from the clean-verdict memo on a hit."""
-        t0 = self._clock()
-        with self._lock:
-            hit = sql in self._clean_sql
-            if hit:
-                self._clean_sql.move_to_end(sql)
-        if hit:
-            dt = self._clock() - t0
-            meter.charge(dt)
-            trace.step("verify", "lint", detail="0 error(s)", seconds=dt)
-            return []
-        errors = self._lint(query, location, meter, trace)
-        if not errors:
-            with self._lock:
-                self._clean_sql[sql] = None
-                if len(self._clean_sql) > _CLEAN_MEMO_SIZE:
-                    self._clean_sql.popitem(last=False)
-        return errors
-
     def _run(
         self,
         query: Query,
+        sql: str,
         bindings: list,
         location: str,
         run_index: int,
         trace: RepairTrace,
         meter: _BudgetClock,
     ) -> RepairReport:
-        sql = to_sql(query)
-        errors = self._lint_memoized(query, sql, location, meter, trace)
+        errors = self._lint(query, location, meter, trace)
         if not errors:
+            with self._lock:
+                self._clean_sql[sql] = None
+                if len(self._clean_sql) > _CLEAN_MEMO_SIZE:
+                    self._clean_sql.popitem(last=False)
             trace.outcome = CLEAN
             return RepairReport(query, sql, CLEAN, False, trace)
 
@@ -992,7 +1031,7 @@ class RepairPipeline:
             trace.outcome = outcome
             if outcome == EXHAUSTED:
                 trace.error_code = E_REPAIR_BUDGET
-            return RepairReport(query, to_sql(query), outcome, False, trace)
+            return RepairReport(query, sql, outcome, False, trace)
 
         return self._rerank(query, candidates, run_index, trace, meter)
 

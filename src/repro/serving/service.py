@@ -794,9 +794,9 @@ class TranslationService(ServingTier):
             result.query = report.query
             result.sql = report.sql
             result.repaired = True
-        trace = report.trace.to_dict()
-        self._last_repair_trace = trace
-        return trace
+        repair = report.trace_dict()
+        self._last_repair_trace = repair
+        return repair
 
     def _postprocess(
         self,

@@ -173,6 +173,12 @@ class Aggregate:
     distinct: bool = False
     span: Span | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        # Checked here, not only in the parser, so no engine sees it:
+        # the memory engines would answer SUM(*) where sqlite refuses.
+        if type(self.arg) is Star and (self.func is not AggFunc.COUNT or self.distinct):
+            raise SqlParseError(f"{self} is not allowed; only COUNT(*) takes *")
+
     def __str__(self) -> str:
         inner = ("DISTINCT " if self.distinct else "") + str(self.arg)
         return f"{self.func.value}({inner})"

@@ -172,6 +172,34 @@ class TestCli:
         assert not (tmp_path / "plain.manifest.json").exists()
         assert plain.read_bytes() == ckpt.read_bytes()
 
+    @pytest.mark.parametrize("mode", [[], ["--no-checkpoint"]])
+    def test_resilience_flags_reach_the_shard_runner(self, tmp_path, mode, monkeypatch):
+        from repro.core.parallel import SynthesisEngine
+
+        seen = []
+        iter_outcomes = SynthesisEngine.iter_outcomes
+
+        def spy(self, workers=0, resilience=None, *args, **kwargs):
+            seen.append(resilience)
+            return iter_outcomes(self, workers, resilience, *args, **kwargs)
+
+        monkeypatch.setattr(SynthesisEngine, "iter_outcomes", spy)
+        argv = [
+            "generate", "patients", "--size-slotfills", "2",
+            "--output", str(tmp_path / "c.jsonl"),
+            "--max-attempts", "5", "--shard-timeout", "30",
+        ]
+        assert main(argv + mode) == EXIT_OK
+        assert [(r.max_attempts, r.shard_timeout) for r in seen] == [(5, 30.0)]
+
+    @pytest.mark.parametrize("mode", [[], ["--no-checkpoint"]])
+    def test_zero_max_attempts_is_refused(self, tmp_path, mode, capsys):
+        output = tmp_path / "c.jsonl"
+        argv = ["generate", "patients", "--output", str(output), "--max-attempts", "0"]
+        assert main(argv + mode) == EXIT_ERROR
+        assert "max_attempts must be >= 1" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_resume_without_checkpointing_is_an_error(self, tmp_path, capsys):
         code = main(
             [

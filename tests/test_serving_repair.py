@@ -350,6 +350,91 @@ class TestBudgetEdges:
 
 
 # ----------------------------------------------------------------------
+# Clean-verdict memo hits
+# ----------------------------------------------------------------------
+
+
+def _untimed(trace: dict) -> dict:
+    """A trace dict with its clock readings zeroed."""
+    record = json.loads(json.dumps(trace))
+    for step in record["steps"]:
+        step["seconds"] = 0.0
+    record["budget"]["spent_seconds"] = 0.0
+    return record
+
+
+class TestCleanMemoHit:
+    def test_a_hit_builds_no_trace_objects(self, patients_db, monkeypatch):
+        import repro.serving.repair as repair
+
+        pipe = make_pipeline(patients_db)
+        query = parse("SELECT name FROM patients WHERE age > 30")
+        pipe.run(query)  # miss: fills the memo
+        built = []
+        for name in ("RepairTrace", "RepairStep", "_BudgetClock"):
+            cls = getattr(repair, name)
+
+            def counted(*args, _name=name, _cls=cls, **kwargs):
+                built.append(_name)
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(repair, name, counted)
+        report = pipe.run(query)
+        record = report.trace_dict()
+        assert report.outcome == "clean" and built == []
+        assert record["steps"][0]["seconds"] == record["budget"]["spent_seconds"]
+
+    def test_a_hit_reports_what_its_miss_did(self, patients_db):
+        pipe = make_pipeline(patients_db)
+        query = parse("SELECT name FROM patients WHERE age > 30")
+        miss, hit = pipe.run(query), pipe.run(query)
+        assert (hit.query, hit.sql, hit.outcome, hit.verified, hit.accepted) == (
+            miss.query,
+            miss.sql,
+            miss.outcome,
+            miss.verified,
+            miss.accepted,
+        )
+        fast, slow = hit.trace_dict(), miss.trace_dict()
+        assert list(fast) == list(slow)
+        assert list(fast["budget"]) == list(slow["budget"])
+        assert list(fast["steps"][0]) == list(slow["steps"][0])
+        assert _untimed(fast) == _untimed(slow)
+        # The trace object, built on demand, serialises to the same dict.
+        assert hit.trace.to_dict() == hit.trace_dict()
+        assert hit.trace_dict() is not hit.trace_dict()
+
+    def test_a_hit_past_the_deadline_reads_exhausted(self, patients_db):
+        ticks = iter(i * 0.3 for i in range(100))
+        pipe = make_pipeline(
+            patients_db,
+            budget=RepairBudget(deadline=0.25),
+            clock=lambda: next(ticks),
+        )
+        query = parse("SELECT name FROM patients")
+        pipe.run(query)
+        hit = pipe.run(query)
+        assert hit.trace_dict()["budget"]["exhausted"]
+        assert hit.trace.to_dict() == hit.trace_dict()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_hit_advances_the_run_index(self, patients_db, warm):
+        faults = RepairFaultPlan((RepairFaultSpec(ADAPTER_CRASH, run_index=2),))
+        pipe = make_pipeline(patients_db, faults=faults)
+        clean = [
+            parse("SELECT name FROM patients"),
+            parse("SELECT name FROM patients" if warm else "SELECT age FROM patients"),
+        ]
+        assert [pipe.run(q).outcome for q in clean] == ["clean", "clean"]
+        assert len(pipe._clean_sql) == (1 if warm else 2)
+        aimed = pipe.run(parse("SELECT nmae FROM patients"))
+        after = pipe.run(parse("SELECT nmae FROM patients"))
+        assert aimed.outcome == "abandoned"
+        assert "FaultInjected" in aimed.trace.executions[0]["detail"]
+        assert after.outcome == "repaired" and after.verified
+
+
+# ----------------------------------------------------------------------
 # Service integration
 # ----------------------------------------------------------------------
 
@@ -403,6 +488,23 @@ class TestServiceIntegration:
         record = response.to_dict()
         assert record["repair"]["outcome"] == "repaired"
         json.dumps(record)  # trace must be JSON-ready
+
+    def test_a_memo_hit_response_carries_its_miss_trace(self, patients_db):
+        # Two questions, one answer: the second request misses the
+        # translation cache but hits the clean-verdict memo.
+        service, _ = make_service(patients_db)
+        with service:
+            miss = service.translate("how many patients are there")
+            hit = service.translate("count the patients")
+            stats = service.stats()
+        assert len(service._repair._clean_sql) == 1
+        assert list(hit.repair) == list(miss.repair)
+        assert list(hit.repair["budget"]) == list(miss.repair["budget"])
+        assert _untimed(hit.repair) == _untimed(miss.repair)
+        assert hit.repair is not miss.repair
+        assert stats["repair"]["last_trace"] is hit.repair
+        assert stats["counters"]["repair.clean"] == 2
+        assert stats["accounting"]["consistent"]
 
     def test_repair_executes_on_the_facade_session(self, patients_db, monkeypatch):
         # The repair arm is DBPal.backend itself (the facade's planned

@@ -717,3 +717,55 @@ class TestRequestTrace:
             assert "LIMIT" not in response.sql
         else:
             assert response.failure.code == "untranslatable"
+
+
+def _hot_repeat_pool(database) -> list[str]:
+    """The benchmark's ``hot_repeat`` questions, bound from ``database``."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    name = "_perfbench_workloads"
+    workloads = sys.modules.get(name)
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[name] = workloads  # its dataclasses look the module up
+        spec.loader.exec_module(workloads)
+    stream = workloads.build_stream("hot_repeat", 1, {"patients": database})
+    return list(dict.fromkeys(request.nl for request in stream))
+
+
+class TestCleanMemoOnTheServedPath:
+    """A clean-verdict memo hit serves what a cold memo serves."""
+
+    def test_hot_repeat_pool_served_twice_matches_a_cold_memo(
+        self, patients_db, retrieval_nlidb
+    ):
+        from collections import OrderedDict
+
+        class Forgetful(OrderedDict):
+            def __setitem__(self, key, value):
+                pass
+
+        pool = _hot_repeat_pool(patients_db)
+        assert len(pool) == 48
+        runs = {}
+        for memo in ("warm", "cold"):
+            service = TranslationService(retrieval_nlidb, ServingConfig(workers=1))
+            if memo == "cold":
+                service._repair._clean_sql = Forgetful()
+            with service:
+                responses = [service.translate(nl) for nl in pool + pool]
+                stats = service.stats()
+            runs[memo] = (
+                [r.payload() for r in responses],
+                [None if r.repair is None else r.repair["outcome"] for r in responses],
+                {k: v for k, v in stats["counters"].items() if k.startswith("repair.")},
+            )
+            assert stats["accounting"]["consistent"]
+        assert runs["warm"] == runs["cold"]
+        outcomes = runs["warm"][1]
+        assert outcomes[: len(pool)] == outcomes[len(pool) :]
+        assert {"clean", "abandoned"} <= set(outcomes)

@@ -225,5 +225,42 @@ class TestErrors:
     def test_limit_zero_parses(self):
         assert parse("SELECT name FROM patients LIMIT 0").limit == 0
 
+    @pytest.mark.parametrize(
+        "agg",
+        [
+            "SUM(*)",
+            "AVG(*)",
+            "MIN(*)",
+            "MAX(*)",
+            "MIN(DISTINCT *)",
+            "SUM(DISTINCT *)",
+            "COUNT(DISTINCT *)",
+        ],
+    )
+    def test_only_plain_count_takes_star(self, agg):
+        from repro.errors import E_SQL_PARSE
+
+        for sql in (
+            f"SELECT {agg} FROM patients",
+            f"SELECT name FROM patients GROUP BY name HAVING {agg} > 1",
+        ):
+            assert try_parse(sql) is None
+            with pytest.raises(SqlParseError, match="only COUNT") as info:
+                parse(sql)
+            assert info.value.code == E_SQL_PARSE
+
+    @pytest.mark.parametrize(
+        "func, distinct",
+        [
+            (AggFunc.SUM, False),
+            (AggFunc.AVG, False),
+            (AggFunc.MAX, True),
+            (AggFunc.COUNT, True),
+        ],
+    )
+    def test_a_code_built_star_aggregate_is_refused_too(self, func, distinct):
+        with pytest.raises(SqlParseError, match="only COUNT"):
+            Aggregate(func, Star(), distinct)
+
     def test_try_parse_returns_query(self):
         assert try_parse("SELECT * FROM t") is not None

@@ -102,11 +102,15 @@ def _predicates(qualified: bool):
     return st.one_of(atoms, ors, ands)
 
 
-_aggregates = st.builds(
-    Aggregate,
-    st.sampled_from(list(AggFunc)),
-    st.one_of(st.builds(ColumnRef, _names), st.just(Star())),
-    st.booleans(),
+# ``*`` is an aggregate argument only in plain ``COUNT(*)``.
+_aggregates = st.one_of(
+    st.builds(
+        Aggregate,
+        st.sampled_from(list(AggFunc)),
+        st.builds(ColumnRef, _names),
+        st.booleans(),
+    ),
+    st.just(Aggregate(AggFunc.COUNT, Star())),
 )
 
 
