@@ -54,7 +54,7 @@ from repro.adapters.base import (
     register_backend,
 )
 from repro.analysis.diagnostics import LintReport, make
-from repro.db.storage import Database
+from repro.db.storage import Database, rows_from_values
 from repro.errors import BackendError, DialectError, IntrospectionError
 from repro.schema.column import Column, ColumnType
 from repro.schema.schema import Schema
@@ -518,7 +518,7 @@ class SqliteAdapter(BackendAdapter):
                 f"sqlite rejected compiled query: {exc}\n  {compiled.sql}"
             ) from exc
         columns = [description[0] for description in cursor.description]
-        rows = [dict(zip(columns, values)) for values in cursor.fetchall()]
+        rows = rows_from_values(columns, cursor.fetchall())
         if compiled.client_distinct:
             seen: set[tuple] = set()
             unique: list[Row] = []

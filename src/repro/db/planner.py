@@ -42,7 +42,6 @@ import threading
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Sequence
 
 from repro.db.executor import (
@@ -55,7 +54,7 @@ from repro.db.executor import (
 )
 from repro.db.expressions import JoinedRow, evaluate_predicate
 from repro.db.index import ValueIndex
-from repro.db.storage import Database, Row
+from repro.db.storage import Database, Row, rows_from_values
 from repro.db.vectorized import (
     COLUMNAR_MIN_ROWS,
     ColumnarTrace,
@@ -554,11 +553,7 @@ class _CachedResult:
 
     def rows(self, max_rows: int | None) -> list[Row]:
         """Fresh dicts for the first ``max_rows`` rows (all when None)."""
-        values = self.values[:max_rows]
-        if len(self.labels) == 1:
-            (label,) = self.labels
-            return [{label: value} for (value,) in values]
-        return list(map(dict, map(zip, repeat(self.labels), values)))
+        return rows_from_values(self.labels, self.values[:max_rows])
 
 
 class _CachedFailure:

@@ -34,7 +34,8 @@ store and the next columnar read rebuilds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 try:  # numpy is a declared dependency, but degrade gracefully without it
     import numpy as np
@@ -46,6 +47,51 @@ from repro.schema.column import ColumnType
 from repro.schema.schema import Schema
 
 Row = dict[str, Any]
+
+
+def _row_builder_source(arity: int) -> str:
+    """Source of ``build(values, k0, …)``, made from ``arity`` alone."""
+    keys = ", ".join(f"k{i}" for i in range(arity))
+    items = ", ".join(f"k{i}: v{i}" for i in range(arity))
+    unpack = ", ".join(f"v{i}" for i in range(arity))
+    return (
+        f"def build(values, {keys}):\n"
+        f"    return [{{{items}}} for ({unpack},) in values]\n"
+    )
+
+
+@lru_cache(maxsize=64)
+def _row_builder(arity: int) -> Callable[..., list[Row]]:
+    """A function ``build(values, k0, …, k{arity-1})`` that returns
+    ``[{k0: v0, …} for (v0, …) in values]``.
+
+    Labels arrive as arguments and are never formatted into the
+    source, so no label can inject code.  A dict display builds a row
+    in one step, where ``dict(zip(labels, values))`` makes a zip
+    iterator and a tuple per pair.
+    """
+    if arity == 0:
+        return lambda values: [{} for _ in values]
+    namespace: dict[str, Any] = {}
+    exec(
+        compile(_row_builder_source(arity), f"<row builder, arity {arity}>", "exec"),
+        namespace,
+    )
+    return namespace["build"]
+
+
+def rows_from_values(
+    labels: Sequence[str], values: Iterable[Sequence[Any]]
+) -> list[Row]:
+    """One fresh row dict per value tuple, keyed by ``labels`` in order.
+
+    The same rows as ``[dict(zip(labels, v)) for v in values]``, key
+    order and a repeated label's last-wins value included, for value
+    tuples as long as ``labels``.  Every engine builds result rows from
+    labelled value tuples through this one function.
+    """
+    return _row_builder(len(labels))(values, *labels)
+
 
 #: Integers with |v| <= 2**53 are exactly representable as float64, so
 #: int-vs-float comparisons and joins can be vectorized in float space.

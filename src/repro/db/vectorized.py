@@ -70,7 +70,13 @@ from repro.db.expressions import (
     evaluate_predicate,
 )
 from repro.db.functions import evaluate_aggregate
-from repro.db.storage import FLOAT_EXACT_INT, ColumnData, Database, Row
+from repro.db.storage import (
+    FLOAT_EXACT_INT,
+    ColumnData,
+    Database,
+    Row,
+    rows_from_values,
+)
 from repro.sql.ast import (
     AggFunc,
     Aggregate,
@@ -1378,9 +1384,9 @@ def _plain_finish(
         if vec.nulls is not None:
             out[vec.nulls[perm]] = None
         columns_out.append(out.tolist())
-    return [dict(zip(labels, values)) for values in zip(*columns_out)] if labels else [
-        {} for _ in range(effective)
-    ]
+    if not labels:
+        return [{} for _ in range(effective)]
+    return rows_from_values(labels, zip(*columns_out))
 
 
 def _materialize_joined(

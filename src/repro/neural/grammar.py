@@ -43,6 +43,11 @@ _PUNCT = frozenset({"(", ")", ",", ".", "*"})
 _OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
+#: States in which '(' pushes a subquery or predicate-group frame.
+_FRAME_OPENING_STATES = frozenset(
+    {"pred_start", "pred_not", "pred_value", "exists_open"}
+)
+
 #: Clauses that may follow a completed FROM/WHERE/... section, in order.
 _TAIL = ("WHERE", "GROUP", "ORDER", "LIMIT")
 
@@ -69,7 +74,14 @@ def classify(token: str) -> str:
 class _Frame:
     """One query frame (top-level query, subquery, or predicate group)."""
 
-    __slots__ = ("state", "kind", "done_clauses", "pred_context", "agg_origin")
+    __slots__ = (
+        "state",
+        "kind",
+        "done_clauses",
+        "pred_context",
+        "agg_origin",
+        "agg_keyword",
+    )
 
     def __init__(self, kind: str = "query") -> None:
         # kind: "query" (top level), "subquery", "group" (pred parens)
@@ -81,6 +93,9 @@ class _Frame:
         # Where the aggregate being decoded came from: "" (select item),
         # "pred" (HAVING predicate), or "order" (ORDER BY key).
         self.agg_origin = ""
+        # The keyword of the aggregate being decoded: only a plain
+        # ``COUNT (`` may take ``*``.
+        self.agg_keyword = ""
 
 
 class GrammarViolation(Exception):
@@ -114,10 +129,13 @@ class SqlDecodingAutomaton:
         frame = self._stack[-1]
         allowed = set(self._allowed_for(frame))
         if len(self._stack) >= self._max_depth:
-            # At maximum depth no further frames may open: block the
-            # parenthesis itself and the tokens that inevitably lead to
-            # one (NOT -> EXISTS -> '(' and IN's nested SELECT).
-            allowed.discard("(")
+            # At maximum depth no further frames may open: block a
+            # parenthesis that would open one and the tokens that
+            # inevitably lead to one (NOT -> EXISTS -> '(' and IN's
+            # nested SELECT).  An aggregate's or an IN list's '(' opens
+            # no frame and stays allowed.
+            if frame.state in _FRAME_OPENING_STATES:
+                allowed.discard("(")
             if frame.state == "pred_start":
                 allowed.discard("EXISTS")
                 allowed.discard("NOT")
@@ -176,9 +194,11 @@ class SqlDecodingAutomaton:
         if state == "agg_open":
             return {"("}
         if state == "agg_arg":
-            return {"DISTINCT", IDENT, "*"}
+            if frame.agg_keyword == "COUNT":
+                return {"DISTINCT", IDENT, "*"}
+            return {"DISTINCT", IDENT}
         if state == "agg_arg_nodistinct":
-            return {IDENT, "*"}
+            return {IDENT}
         if state == "agg_ident":
             return {".", ")"}
         if state == "agg_ident_dot":
@@ -345,7 +365,7 @@ class SqlDecodingAutomaton:
         elif symbol == IDENT:
             frame.state = "item_ident"
         elif symbol in _AGG_KEYWORDS:
-            frame.state = "agg_open"
+            self._open_agg(frame, symbol, "")
         else:
             raise GrammarViolation(f"bad item start {symbol!r}")
 
@@ -372,6 +392,10 @@ class SqlDecodingAutomaton:
         else:
             raise GrammarViolation(f"bad token after item: {symbol!r}")
 
+    def _open_agg(self, frame, keyword, origin):
+        frame.agg_keyword, frame.agg_origin = keyword, origin
+        frame.state = "agg_open"
+
     def _on_agg_open(self, frame, symbol):
         frame.state = "agg_arg"
 
@@ -384,7 +408,7 @@ class SqlDecodingAutomaton:
             frame.state = "agg_star"
 
     def _on_agg_arg_nodistinct(self, frame, symbol):
-        frame.state = "agg_ident" if symbol == IDENT else "agg_star"
+        frame.state = "agg_ident"
 
     def _on_agg_ident(self, frame, symbol):
         if symbol == ".":
@@ -402,7 +426,7 @@ class SqlDecodingAutomaton:
         self._close_agg(frame)
 
     def _close_agg(self, frame):
-        origin, frame.agg_origin = frame.agg_origin, ""
+        origin, frame.agg_origin, frame.agg_keyword = frame.agg_origin, "", ""
         if origin == "pred":
             frame.state = "having_agg_done"
         elif origin == "order":
@@ -429,8 +453,7 @@ class SqlDecodingAutomaton:
         elif symbol == "(":
             self._stack.append(_Frame("group"))
         elif symbol in _AGG_KEYWORDS:
-            frame.agg_origin = "pred"
-            frame.state = "agg_open"
+            self._open_agg(frame, symbol, "pred")
         else:
             raise GrammarViolation(f"bad predicate start {symbol!r}")
 
@@ -564,8 +587,7 @@ class SqlDecodingAutomaton:
 
     def _on_order_col(self, frame, symbol):
         if symbol in _AGG_KEYWORDS:
-            frame.agg_origin = "order"
-            frame.state = "agg_open"
+            self._open_agg(frame, symbol, "order")
         else:
             frame.state = "order_ident"
 

@@ -965,7 +965,9 @@ class RepairPipeline:
         # forms (PR 10): a proposal that differs from an already-tried
         # candidate only by a result-invariant rewrite would re-spend
         # lint and execution budget on a query we have already judged.
-        seen = {self._canonical_guard_key(query)}
+        # The seed key is built when the first proposal is checked: a
+        # run whose repairer proposes nothing never compares it.
+        seen: set[str] | None = None
         candidates: list[tuple[Query, list[RepairEdit]]] = []
         outcome = None
         for attempt in range(self.budget.max_attempts):
@@ -990,6 +992,8 @@ class RepairPipeline:
                 outcome, trace.reason = ABANDONED, "no repair strategy"
                 trace.error_code = E_REPAIR_UNFIXABLE
                 break
+            if seen is None:
+                seen = {self._canonical_guard_key(query)}
             next_state = None
             pruned = 0
             for candidate, edits in proposals:

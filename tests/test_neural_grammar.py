@@ -1,5 +1,7 @@
 """Tests for the SQL decoding grammar automaton."""
 
+import random
+
 import pytest
 
 from repro.neural import SqlDecodingAutomaton, classify
@@ -170,3 +172,119 @@ class TestGrammarMask:
                 mask[0] = True
         # Columns of one kind leave the same symbols allowed.
         assert gm.mask_for(["SELECT", "name"]) is gm.mask_for(["SELECT", "age"])
+
+
+AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+
+
+def _allowed_after(sql_text: str) -> frozenset[str]:
+    automaton = SqlDecodingAutomaton()
+    for token in sql_text.split():
+        automaton.advance(token)
+    return automaton.allowed_symbols()
+
+
+class TestAggregateStar:
+    """``*`` may follow only a plain ``COUNT (``."""
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            "SELECT COUNT (",
+            "SELECT name , COUNT (",
+            "SELECT name FROM t GROUP BY name HAVING COUNT (",
+            "SELECT name FROM t ORDER BY COUNT (",
+        ],
+    )
+    def test_count_open_offers_star(self, prefix):
+        assert _allowed_after(prefix) == {"DISTINCT", "IDENT", "*"}
+
+    @pytest.mark.parametrize("keyword", AGGREGATES[1:])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "SELECT {} (",
+            "SELECT COUNT ( * ) , {} (",
+            "SELECT name FROM t GROUP BY name HAVING {} (",
+            "SELECT name FROM t ORDER BY {} (",
+        ],
+    )
+    def test_other_aggregates_never_offer_star(self, keyword, template):
+        assert _allowed_after(template.format(keyword)) == {"DISTINCT", "IDENT"}
+
+    @pytest.mark.parametrize("keyword", AGGREGATES)
+    def test_distinct_never_offers_star(self, keyword):
+        assert _allowed_after(f"SELECT {keyword} ( DISTINCT") == {"IDENT"}
+
+    def test_select_distinct_star_still_allowed(self):
+        assert "*" in _allowed_after("SELECT DISTINCT")
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(*) FROM t",
+            "SELECT COUNT(DISTINCT *) FROM t",
+            "SELECT name FROM t GROUP BY name HAVING MAX(*) > 1",
+            "SELECT name FROM t ORDER BY AVG(*)",
+        ],
+    )
+    def test_star_arguments_rejected(self, sql):
+        assert not accepts(sql)
+
+    def test_seeded_walks_emit_star_only_in_count(self):
+        tokens_of = {
+            "IDENT": "age",
+            "PLACEHOLDER": "@AGE",
+            "NUMBER": "1",
+            "STRING": "'a'",
+            "JOIN_PH": "@JOIN",
+            "OP": "=",
+        }
+        count_stars = 0
+        openings = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            automaton = SqlDecodingAutomaton()
+            tokens: list[str] = []
+            while len(tokens) < 40:
+                allowed = sorted(automaton.allowed_symbols())
+                assert allowed, tokens  # no prefix is a dead end
+                symbol = rng.choice(allowed)
+                if symbol == END:
+                    break
+                token = tokens_of.get(symbol, symbol)
+                automaton.advance(token)
+                tokens.append(token)
+            for i, token in enumerate(tokens[2:], start=2):
+                if tokens[i - 1] == "(" and tokens[i - 2] in AGGREGATES:
+                    openings.add(tokens[i - 2])
+                if token != "*":
+                    continue
+                assert tokens[i - 1] != "DISTINCT" or tokens[i - 2] != "(", tokens
+                if tokens[i - 1] == "(":
+                    assert tokens[i - 2] == "COUNT", tokens
+                    count_stars += 1
+        # The walks reach every aggregate and do emit COUNT(*).
+        assert openings == set(AGGREGATES)
+        assert count_stars > 0
+
+
+class TestMaximumDepth:
+    """At the depth bound only a frame-opening '(' is blocked."""
+
+    DEEP = "SELECT a FROM t WHERE x IN ( SELECT b FROM u WHERE y IN ( SELECT"
+
+    def test_aggregate_open_paren_allowed_at_depth_bound(self):
+        assert _allowed_after(f"{self.DEEP} COUNT") == {"("}
+
+    def test_in_list_paren_allowed_at_depth_bound(self):
+        assert _allowed_after(f"{self.DEEP} c FROM v WHERE z IN") == {"("}
+
+    def test_subquery_and_group_blocked_at_depth_bound(self):
+        allowed = _allowed_after(f"{self.DEEP} c FROM v WHERE")
+        assert "(" not in allowed and "EXISTS" not in allowed and "NOT" not in allowed
+        assert "(" not in _allowed_after(f"{self.DEEP} c FROM v WHERE z =")
+        assert "SELECT" not in _allowed_after(f"{self.DEEP} c FROM v WHERE z IN (")
+
+    def test_full_deep_query_accepted(self):
+        assert accepts(f"{self.DEEP} COUNT ( * ) FROM v WHERE z IN ( 1 , 2 ) ) )")

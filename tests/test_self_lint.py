@@ -1,8 +1,8 @@
 """Self-lint: the analyzer's house rules applied to our own source.
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
-three rules that have each caused real bugs in serving stacks, plus
-five layering rules:
+three rules that have each caused real bugs in serving stacks, five
+layering rules, and one rule on code compiled at run time:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -38,6 +38,11 @@ five layering rules:
   ``WordEmbeddings.fit`` needs scipy, and it imports it inside the
   function; networkx is a test-only oracle.  Serving a question after
   a set-up on a single-table or a multi-table schema loads neither.
+* **no ``exec``/``eval``/``compile`` outside the row builder** — code
+  made at run time is code no reader reviewed.  The one exemption is
+  ``_row_builder`` in ``repro/db/storage.py``, which compiles a row
+  constructor whose source comes from an arity alone; labels reach it
+  only as arguments.
 """
 
 from __future__ import annotations
@@ -294,6 +299,59 @@ def test_no_module_level_heavy_imports():
     assert findings == []
 
 
+DYNAMIC_CODE_BUILTINS = ("exec", "eval", "compile")
+
+#: The one function that may compile code at run time.
+DYNAMIC_CODE_HOME = ("repro/db/storage.py", "_row_builder")
+
+
+def _dynamic_code_calls(source: str) -> list[tuple[int, str, str]]:
+    """``(line, enclosing function, builtin)`` for every call of
+    ``exec``, ``eval`` or ``compile``, bare or as ``builtins.<name>``.
+    A method such as ``re.compile`` is not the builtin."""
+    calls = []
+
+    def visit(node, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = None
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "builtins"
+            ):
+                name = func.attr
+            if name in DYNAMIC_CODE_BUILTINS:
+                calls.append((node.lineno, function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return calls
+
+
+def test_code_is_compiled_at_run_time_only_by_the_row_builder():
+    home, builder = DYNAMIC_CODE_HOME
+    allowed, findings = [], []
+    for path in repro_modules():
+        module = path.relative_to(SRC_ROOT.parent).as_posix()
+        for line, function, name in _dynamic_code_calls(
+            path.read_text(encoding="utf-8")
+        ):
+            if (module, function) == (home, builder):
+                allowed.append(name)
+            else:
+                where = function or "<module>"
+                findings.append(f"{module}:{line}: {name}() in `{where}`")
+    assert findings == []
+    # The exemption must still name a function that does compile code.
+    assert allowed
+
+
 #: Loaded only by the sharded tier's asyncio front door, never by serving
 #: a question in process.  Not in ``HEAVY_MODULES``: ``front_door.py``
 #: imports asyncio at module level by design.
@@ -440,6 +498,28 @@ class TestLintRulesDetect:
     )
     def test_heavy_import_rule(self, source, bad):
         assert bool(_heavy_module_imports(source)) is bad
+
+    @pytest.mark.parametrize(
+        "source, found",
+        [
+            ("exec('x = 1')\n", [(1, "", "exec")]),
+            ("def f():\n    return eval('1')\n", [(2, "f", "eval")]),
+            (
+                "def _row_builder(n):\n    exec(compile(s, 'f', 'exec'), ns)\n",
+                [(2, "_row_builder", "exec"), (2, "_row_builder", "compile")],
+            ),
+            ("import builtins\nbuiltins.exec('x')\n", [(2, "", "exec")]),
+            (
+                "class C:\n    def m(self):\n        async def g():\n"
+                "            compile('1', 'f', 'eval')\n",
+                [(4, "g", "compile")],
+            ),
+            ("import re\nPATTERN = re.compile('x')\n", []),
+            ("def f(ns):\n    return ns.exec('x')\n", []),
+        ],
+    )
+    def test_dynamic_code_rule(self, source, found):
+        assert _dynamic_code_calls(source) == found
 
     def test_wall_clock_rule(self):
         tree = ast.parse("import time\nt = time.time()\n")

@@ -349,6 +349,56 @@ class TestBudgetEdges:
         assert second.outcome == "repaired" and second.verified
 
 
+class TestGuardSeedKey:
+    """The oscillation guard's seed key is built at the first proposal."""
+
+    NO_PROPOSAL = "SELECT SUM(age) FROM patients WHERE gender = 33"
+
+    def _spy(self, pipe, monkeypatch):
+        calls = []
+        real = pipe._canonical_guard_key
+
+        def counted(query):
+            calls.append(to_sql(query))
+            return real(query)
+
+        monkeypatch.setattr(pipe, "_canonical_guard_key", counted)
+        return calls
+
+    def test_a_run_with_no_proposal_builds_no_key(self, patients_db, monkeypatch):
+        pipe = make_pipeline(patients_db)
+        calls = self._spy(pipe, monkeypatch)
+        report = pipe.run(parse(self.NO_PROPOSAL))
+        record = report.trace_dict()
+        assert calls == []
+        assert (report.outcome, report.sql) == ("abandoned", self.NO_PROPOSAL)
+        assert record["reason"] == "no repair strategy"
+        assert record["error_code"] == E_REPAIR_UNFIXABLE
+        assert [(s["stage"], s["action"]) for s in record["steps"]] == [
+            ("verify", "lint"),
+            ("repair", "propose"),
+        ]
+        assert record["steps"][1]["detail"] == "attempt 0: 0 candidate(s)"
+
+    def test_a_proposing_run_seeds_the_guard_with_the_original(
+        self, patients_db, monkeypatch
+    ):
+        pipe = make_pipeline(patients_db)
+        calls = self._spy(pipe, monkeypatch)
+        report = pipe.run(parse("SELECT nmae FROM patients"))
+        assert report.outcome == "repaired"
+        assert calls[0] == "SELECT nmae FROM patients" and len(calls) >= 2
+
+    def test_the_seed_key_still_prunes_a_proposal_of_the_original(self, patients_db):
+        faults = RepairFaultPlan((RepairFaultSpec(REPAIR_OSCILLATE, attempts=5),))
+        report = make_pipeline(patients_db, faults=faults).run(
+            parse("SELECT nmae FROM patients")
+        )
+        steps = report.trace_dict()["steps"]
+        assert report.trace.error_code == E_REPAIR_OSCILLATION
+        assert [s["action"] for s in steps] == ["lint", "propose", "dedupe"]
+
+
 # ----------------------------------------------------------------------
 # Clean-verdict memo hits
 # ----------------------------------------------------------------------
