@@ -7,20 +7,22 @@ bounded latency window, a stage recorder — because it sits on the hot
 path of every request.  A request does not report as it goes: it
 writes its stage spans and counters into its own :class:`RequestTrace`,
 and the registry folds the finished trace in one lock hold (see
-:meth:`MetricsRegistry.record_request`).  ``snapshot()`` produces the
-JSON-ready report surfaced by ``repro serve --stats`` and written into
-``BENCH_serving.json``; every derived rate in it is zero-guarded so an
-idle service snapshots cleanly.
+:meth:`MetricsRegistry.record_request`); counters are kept per
+request signature and expanded by name only when read.  ``snapshot()``
+produces the JSON-ready report surfaced by ``repro serve --stats`` and
+written into ``BENCH_serving.json``; every derived rate in it is
+zero-guarded so an idle service snapshots cleanly.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter, deque
 from typing import Callable, Sequence
 
-from repro.perf.instrumentation import PerfRecorder
+from repro.perf.instrumentation import PerfRecorder, StageStats
 
 #: What the two per-stage time columns of ``snapshot()["stages"]`` mean
 #: (surfaced verbatim in ``--stats`` / ``--stats-json`` so a
@@ -38,14 +40,17 @@ STAGES_LEGEND = {
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]); 0.0 on empty input."""
+    """Nearest-rank percentile (``q`` in [0, 100]); 0.0 on empty input.
+
+    The smallest sample that at least ``q`` percent of the samples do
+    not exceed: 1-based rank ``ceil(q * n / 100)``, and the minimum at
+    ``q <= 0``.
+    """
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * len(ordered))) - 1))
-    if q <= 0:
-        rank = 0
-    return ordered[rank]
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered) / 100)))
+    return ordered[rank - 1]
 
 
 class RequestTrace:
@@ -75,6 +80,15 @@ class RequestTrace:
 class MetricsRegistry:
     """Thread-safe accumulator of serving metrics.
 
+    A finished request is counted by its *signature*: its status, its
+    source and the counters its trace recorded, in order.  A serving
+    tier sees a handful of distinct signatures, so folding a request is
+    one increment of one ``Counter`` entry, and the named counters
+    (``requests_total``, ``status.*``, ``source.*`` and every trace
+    counter) are expanded from the signatures only when ``snapshot()``
+    or ``counter()`` reads them.  Counters that belong to no request
+    (the batch path's, reloads) are kept by name.
+
     Parameters
     ----------
     latency_window:
@@ -93,6 +107,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._started = clock()
         self._counters: Counter[str] = Counter()
+        # (status, source, trace counters) -> requests folded with that
+        # signature; status and source are None for a request that raised.
+        self._signatures: Counter[tuple] = Counter()
         self._latencies: deque[float] = deque(maxlen=latency_window)
         self._batch_sizes: Counter[int] = Counter()
         self._stages = PerfRecorder()
@@ -113,29 +130,40 @@ class MetricsRegistry:
         trace: RequestTrace | None = None,
     ) -> None:
         """Fold one finished request, and its trace, into the registry."""
+        if trace is None:
+            signature, spans = (status, source, ()), ()
+        else:
+            signature, spans = (status, source, tuple(trace.counters)), trace.spans
         with self._lock:
-            if trace is not None:
-                self._fold(trace)
-            counters = self._counters
-            counters["requests_total"] += 1
-            counters[f"status.{status}"] += 1
-            counters[f"source.{source}"] += 1
+            self._signatures[signature] += 1
+            if spans:
+                self._fold_spans(spans)
             self._latencies.append(seconds)
 
     def record_trace(self, trace: RequestTrace) -> None:
         """Fold the stages and counters of a request that raised instead
         of finishing; no request is counted."""
+        signature = (None, None, tuple(trace.counters))
         with self._lock:
-            self._fold(trace)
+            self._signatures[signature] += 1
+            self._fold_spans(trace.spans)
 
-    def _fold(self, trace: RequestTrace) -> None:
-        # The caller holds the lock.
-        counters = self._counters
-        for name in trace.counters:
-            counters[name] += 1
-        add = self._stages.add
-        for name, start, end in trace.spans:
-            add(name, end - start, 1, end)
+    def _fold_spans(self, spans: list[tuple[str, float, float]]) -> None:
+        # The caller holds the lock.  PerfRecorder.add, inlined: one
+        # call and one item per span, its wall bracket widened to it.
+        stages = self._stages.stages
+        for name, start, end in spans:
+            stats = stages.get(name)
+            if stats is None:
+                stages[name] = StageStats(end - start, 1, 1, start, end)
+                continue
+            stats.seconds += end - start
+            stats.calls += 1
+            stats.items += 1
+            if start < stats.first_start:
+                stats.first_start = start
+            if end > stats.last_end:
+                stats.last_end = end
 
     def record_batch(self, size: int) -> None:
         """Fold one micro-batch into the registry.
@@ -160,9 +188,22 @@ class MetricsRegistry:
     # Reporting
     # ------------------------------------------------------------------
 
+    def _named_counters(self) -> Counter[str]:
+        """Every counter by name, expanded from the request signatures
+        (the caller holds the lock)."""
+        counters = self._counters.copy()
+        for (status, source, names), requests in self._signatures.items():
+            if status is not None:
+                counters["requests_total"] += requests
+                counters["status." + status] += requests
+                counters["source." + source] += requests
+            for name in names:
+                counters[name] += requests
+        return counters
+
     def counter(self, name: str) -> int:
         with self._lock:
-            return self._counters.get(name, 0)
+            return self._named_counters().get(name, 0)
 
     def snapshot(self, include_samples: bool = False) -> dict:
         """JSON-ready report; safe to call at any moment, even idle.
@@ -176,10 +217,11 @@ class MetricsRegistry:
         """
         with self._lock:
             elapsed = self._clock() - self._started
-            total = self._counters.get("requests_total", 0)
+            named = self._named_counters()
+            total = named.get("requests_total", 0)
             latencies = list(self._latencies)
             batch_sizes = dict(sorted(self._batch_sizes.items()))
-            counters = dict(sorted(self._counters.items()))
+            counters = dict(sorted(named.items()))
             stages = self._stages.report()
         batched = sum(size * n for size, n in batch_sizes.items())
         batches = sum(batch_sizes.values())

@@ -109,8 +109,8 @@ _VERDICT_RANK = {EXEC_OK: 0, EXEC_EMPTY: 1, EXEC_TIMEOUT: 2, EXEC_ERROR: 3}
 _SIMILARITY_FLOOR = 0.3
 #: Second-best candidates within this margin spawn an alternate variant.
 _ALTERNATE_MARGIN = 0.15
-#: Distinct lint-clean candidates remembered per pipeline.
-_CLEAN_MEMO_SIZE = 4096
+#: Distinct candidates each verdict memo remembers per pipeline.
+_MEMO_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -866,6 +866,12 @@ class RepairPipeline:
         # ``5`` and ``5.0`` compare and hash equal, so an AST key could
         # hand one query the other's verdict.
         self._clean_sql: OrderedDict[str, None] = OrderedDict()
+        # (printed SQL, location) of candidates whose first repair
+        # proposal came back empty -> their lint errors (bounded LRU,
+        # guarded by ``_lock``).  A run that finds its candidate here
+        # replays the lint and the empty proposal instead of redoing
+        # them; every timed decision still runs.
+        self._unfixable: OrderedDict[tuple[str, str], list[Diagnostic]] = OrderedDict()
         if bind is None:
             from repro.runtime.postprocess import restore_placeholders
 
@@ -879,7 +885,10 @@ class RepairPipeline:
 
         The lock hold that takes the run index also probes the
         clean-verdict memo: a candidate whose printed SQL already linted
-        clean is ``CLEAN`` at once, and no trace objects are built.
+        clean is ``CLEAN`` at once, and no trace objects are built.  It
+        then probes the unfixable memo: a candidate the repairer had no
+        proposal for reuses its lint errors and that empty proposal,
+        unless a ``REPAIR_OSCILLATE`` fault is planned for this run.
         """
         sql = to_sql(query)
         t0 = self._clock()
@@ -889,15 +898,21 @@ class RepairPipeline:
             hit = sql in self._clean_sql
             if hit:
                 self._clean_sql.move_to_end(sql)
+            else:
+                known = self._unfixable.get((sql, location))
+                if known is not None:
+                    self._unfixable.move_to_end((sql, location))
         if hit:
             return RepairReport(
                 query, sql, CLEAN, False, _probe=(self.budget, self._clock() - t0)
             )
+        if known is not None and self.faults.find(REPAIR_OSCILLATE, run_index, 0):
+            known = None  # an injected proposal: run the full path
         trace = RepairTrace()
         meter = _BudgetClock(self.budget)
         try:
             report = self._run(
-                query, sql, list(bindings), location, run_index, trace, meter
+                query, sql, list(bindings), location, run_index, trace, meter, known
             )
         except Exception as exc:  # noqa: BLE001 — the pipeline never raises
             trace.step("repair", "crash", detail=f"{type(exc).__name__}: {exc}")
@@ -925,12 +940,24 @@ class RepairPipeline:
         except Exception:  # noqa: BLE001 — guard key must never raise
             return to_sql(query)
 
-    def _lint(self, query: Query, location: str, meter: _BudgetClock, trace: RepairTrace):
+    def _lint(
+        self,
+        query: Query,
+        location: str,
+        meter: _BudgetClock,
+        trace: RepairTrace,
+        known: list[Diagnostic] | None = None,
+    ):
+        """Charged lint step; ``known`` errors (from the unfixable memo)
+        stand in for the analyzer."""
         t0 = self._clock()
-        diagnostics = analyze_query(query, self.schema, location=location)
+        if known is None:
+            diagnostics = analyze_query(query, self.schema, location=location)
+            errors = [d for d in diagnostics if d.severity is Severity.ERROR]
+        else:
+            errors = known
         dt = self._clock() - t0
         meter.charge(dt)
-        errors = [d for d in diagnostics if d.severity is Severity.ERROR]
         trace.step(
             "verify",
             "lint",
@@ -949,12 +976,13 @@ class RepairPipeline:
         run_index: int,
         trace: RepairTrace,
         meter: _BudgetClock,
+        known: list[Diagnostic] | None = None,
     ) -> RepairReport:
-        errors = self._lint(query, location, meter, trace)
+        errors = self._lint(query, location, meter, trace, known)
         if not errors:
             with self._lock:
                 self._clean_sql[sql] = None
-                if len(self._clean_sql) > _CLEAN_MEMO_SIZE:
+                if len(self._clean_sql) > _MEMO_SIZE:
                     self._clean_sql.popitem(last=False)
             trace.outcome = CLEAN
             return RepairReport(query, sql, CLEAN, False, trace)
@@ -978,8 +1006,12 @@ class RepairPipeline:
             t0 = self._clock()
             if self.faults.find(REPAIR_OSCILLATE, run_index, attempt) is not None:
                 proposals = [(current, [RepairEdit("L000", "noop", "injected")])]
+            elif known is not None and attempt == 0:
+                proposals = []
             else:
                 proposals = self.repairer.propose(current, current_errors)
+                if attempt == 0 and not proposals:
+                    self._remember_unfixable(sql, location, errors)
             dt = self._clock() - t0
             meter.charge(dt)
             trace.step(
@@ -1038,6 +1070,14 @@ class RepairPipeline:
             return RepairReport(query, sql, outcome, False, trace)
 
         return self._rerank(query, candidates, run_index, trace, meter)
+
+    def _remember_unfixable(
+        self, sql: str, location: str, errors: list[Diagnostic]
+    ) -> None:
+        with self._lock:
+            self._unfixable[(sql, location)] = errors
+            if len(self._unfixable) > _MEMO_SIZE:
+                self._unfixable.popitem(last=False)
 
     # -- stage 3: execution re-rank ------------------------------------
 

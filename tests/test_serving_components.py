@@ -182,6 +182,23 @@ class TestMetricsRegistry:
         assert percentile([3.0], 99) == 3.0
         assert percentile([1.0, 2.0], 0) == 1.0
 
+    def test_percentile_is_nearest_rank(self):
+        import random
+
+        def reference(values, q):
+            # The smallest sample that at least q% of the samples do not exceed.
+            ordered = sorted(values)
+            n = len(ordered)
+            return next(v for i, v in enumerate(ordered, 1) if i * 100 >= q * n)
+
+        assert percentile([1, 2, 3, 4, 5], 50) == 3
+        assert percentile(list(range(1, 12)), 95) == 11
+        rng = random.Random(7)
+        for n in range(1, 201):
+            values = [rng.random() for _ in range(n)]
+            for q in (0, 50, 95, 99, 100):
+                assert percentile(values, q) == reference(values, q), (n, q)
+
     def test_format_table_idle(self):
         assert "requests" in MetricsRegistry().format_table()
 

@@ -484,6 +484,118 @@ class TestCleanMemoHit:
         assert after.outcome == "repaired" and after.verified
 
 
+#: The one hot_repeat answer the repairer has no proposal for (L106).
+UNFIXABLE = "SELECT SUM(age) FROM patients WHERE gender = 33"
+
+
+class TestUnfixableMemo:
+    """A candidate the repairer had no proposal for is linted and
+    proposed for once; later runs replay both and redo the timed rest."""
+
+    @staticmethod
+    def _count_lint_and_propose(pipe, monkeypatch):
+        import repro.serving.repair as repair
+
+        calls = {"analyze_query": 0, "propose": 0}
+        analyze, propose = repair.analyze_query, pipe.repairer.propose
+
+        def counted_analyze(*args, **kwargs):
+            calls["analyze_query"] += 1
+            return analyze(*args, **kwargs)
+
+        def counted_propose(*args, **kwargs):
+            calls["propose"] += 1
+            return propose(*args, **kwargs)
+
+        monkeypatch.setattr(repair, "analyze_query", counted_analyze)
+        monkeypatch.setattr(pipe.repairer, "propose", counted_propose)
+        return calls
+
+    def test_many_runs_lint_and_propose_once(self, patients_db, monkeypatch):
+        pipe = make_pipeline(patients_db)
+        calls = self._count_lint_and_propose(pipe, monkeypatch)
+        query = parse(UNFIXABLE)
+        reports = [pipe.run(query) for _ in range(2000)]
+        assert calls == {"analyze_query": 1, "propose": 1}
+        assert {r.outcome for r in reports} == {"abandoned"}
+        assert {r.trace.error_code for r in reports} == {E_REPAIR_UNFIXABLE}
+        assert pipe._runs == 2000
+        assert list(pipe._unfixable) == [(UNFIXABLE, "serving")]
+
+    def test_a_warm_run_reports_what_its_miss_did(self, patients_db):
+        pipe = make_pipeline(patients_db)
+        query = parse(UNFIXABLE)
+        miss, hit = pipe.run(query), pipe.run(query)
+        assert (hit.query, hit.sql, hit.outcome, hit.verified) == (
+            miss.query,
+            miss.sql,
+            miss.outcome,
+            miss.verified,
+        )
+        fast, slow = hit.trace_dict(), miss.trace_dict()
+        assert _untimed(fast) == _untimed(slow)
+        assert fast["codes_tried"] == ["L106"]
+        assert [(s["stage"], s["action"]) for s in fast["steps"]] == [
+            ("verify", "lint"),
+            ("repair", "propose"),
+        ]
+        assert fast["budget"]["attempts_used"] == 1
+
+    def test_a_fault_planned_for_a_warm_run_still_fires(
+        self, patients_db, monkeypatch
+    ):
+        faults = RepairFaultPlan((RepairFaultSpec(REPAIR_OSCILLATE, run_index=3),))
+        pipe = make_pipeline(patients_db, faults=faults)
+        calls = self._count_lint_and_propose(pipe, monkeypatch)
+        query = parse(UNFIXABLE)
+        codes = [pipe.run(query).trace.error_code for _ in range(5)]
+        assert codes == [E_REPAIR_UNFIXABLE] * 3 + [
+            E_REPAIR_OSCILLATION,
+            E_REPAIR_UNFIXABLE,
+        ]
+        # Run 3 took the full path: its own lint, no memo stand-in.
+        assert calls["analyze_query"] == 2
+
+    def test_a_warm_run_still_checks_the_deadline(self, patients_db):
+        class SteppingClock:
+            def __init__(self):
+                self.now, self.step = 0.0, 0.0
+
+            def __call__(self):
+                self.now += self.step
+                return self.now
+
+        traces = {}
+        for memo in ("warm", "cold"):
+            clock = SteppingClock()
+            pipe = make_pipeline(
+                patients_db, budget=RepairBudget(deadline=0.25), clock=clock
+            )
+            if memo == "warm":
+                pipe.run(parse(UNFIXABLE))
+            clock.step = 0.3
+            report = pipe.run(parse(UNFIXABLE))
+            assert report.outcome == "budget_exhausted"
+            traces[memo] = report.trace_dict()
+        assert _untimed(traces["warm"]) == _untimed(traces["cold"])
+        assert traces["warm"]["reason"] == "deadline before repair"
+
+    def test_the_memo_is_keyed_on_location_and_bounded(
+        self, patients_db, monkeypatch
+    ):
+        import repro.serving.repair as repair
+
+        monkeypatch.setattr(repair, "_MEMO_SIZE", 2)
+        pipe = make_pipeline(patients_db)
+        for gender in (33, 34, 35):
+            pipe.run(parse(f"SELECT SUM(age) FROM patients WHERE gender = {gender}"))
+        pipe.run(parse(UNFIXABLE), location="offline")
+        assert list(pipe._unfixable) == [
+            ("SELECT SUM(age) FROM patients WHERE gender = 35", "serving"),
+            (UNFIXABLE, "offline"),
+        ]
+
+
 # ----------------------------------------------------------------------
 # Service integration
 # ----------------------------------------------------------------------
