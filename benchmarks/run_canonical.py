@@ -2,20 +2,18 @@
 
 Three numbers, one record:
 
-* **Cache coalescing uplift** on a paraphrase-heavy workload: every
+* **Recognized-repeat uplift** on a paraphrase-heavy workload: every
   corpus query is emitted under several equivalence-preserving
   spellings (conjunct reversal, ``BETWEEN``/chain, ``IN``/``OR``-of-=,
   comparison flips — the same rewrite classes the soundness gate
   fuzzes), simulating a model whose surface form wobbles between
   requests.  The exact-text arm only recognizes bit-identical repeats;
-  the canonical tier (:class:`repro.serving.cache.TranslationCache`
-  with ``canonical_key_fn``) also recognizes re-spellings.  The uplift
-  is the recognized-repeat rate delta.
+  keying on ``canonical_key_for_sql`` also recognizes re-spellings.
+  The uplift is the recognized-repeat rate delta.
 * **Corpus dedupe density**: how much of each seed corpus
   ``dedupe_pairs(semantic=True)`` removes beyond exact-key dedupe.
 * **Canonicalization latency**: p50/p95 of ``canonical_key_for_sql``
-  over every distinct corpus query (the per-``put`` price the serving
-  tier pays for the coalescing).
+  over every distinct corpus query (the price of keying one query).
 
 Usage::
 
@@ -35,7 +33,6 @@ from pathlib import Path
 
 from repro.core import GenerationConfig, TrainingPipeline, dedupe_pairs
 from repro.schema import load_schema
-from repro.serving.cache import TranslationCache
 from repro.sql.ast import And, Between, Comparison, CompOp, InPredicate, Not, Or
 from repro.sql.canonical import canonical_key_for_sql
 from repro.sql.printer import to_sql
@@ -104,35 +101,47 @@ def paraphrase_workload(corpus) -> list[str]:
 
 
 def run_cache_arm(schema, outputs: list[str]) -> dict:
-    def key_fn(sql):
-        return canonical_key_for_sql(sql, schema)
+    """Repeats recognized by exact text vs by ``canonical_key_for_sql``.
 
-    cache = TranslationCache(
-        capacity=max(len(outputs), 1), ttl=0, canonical_key_fn=key_fn
-    )
+    Walks the workload once with a map from canonical key to first-seen
+    text: a ``None`` key (unparseable) is skipped, a repeat with equal
+    text is an interned hit, and a repeat with different text is a
+    preserved variant.
+    """
+    first_seen: dict[str, str] = {}
     exact_seen: set[str] = set()
-    exact_repeats = 0
-    for index, text in enumerate(outputs):
+    exact_repeats = interned_hits = variants_preserved = skipped = 0
+    for text in outputs:
         if text in exact_seen:
             exact_repeats += 1
         exact_seen.add(text)
-        cache.put(f"nl-{index}", text)
+        canonical = canonical_key_for_sql(text, schema)
+        if canonical is None:
+            skipped += 1
+            continue
+        existing = first_seen.get(canonical)
+        if existing is None:
+            first_seen[canonical] = text
+        elif existing == text:
+            interned_hits += 1
+        else:
+            variants_preserved += 1
 
-    probes = cache.canonical_probes
-    canonical_repeats = cache.canonical_hits + cache.canonical_variants
-    exact_rate = exact_repeats / probes if probes else 0.0
-    canonical_rate = canonical_repeats / probes if probes else 0.0
+    puts = len(outputs)
+    canonical_repeats = interned_hits + variants_preserved
+    exact_rate = exact_repeats / puts if puts else 0.0
+    canonical_rate = canonical_repeats / puts if puts else 0.0
     return {
-        "puts": probes,
+        "puts": puts,
         "exact_repeats": exact_repeats,
         "canonical_repeats": canonical_repeats,
         "exact_recognized_rate": round(exact_rate, 4),
         "canonical_recognized_rate": round(canonical_rate, 4),
         "hit_rate_uplift": round(canonical_rate - exact_rate, 4),
-        "canonical_index_size": cache.stats()["canonical_index_size"],
-        "interned_hits": cache.canonical_hits,
-        "variants_preserved": cache.canonical_variants,
-        "skipped": cache.canonical_skipped,
+        "canonical_index_size": len(first_seen),
+        "interned_hits": interned_hits,
+        "variants_preserved": variants_preserved,
+        "skipped": skipped,
     }
 
 

@@ -5,7 +5,7 @@ Marked ``canonical``-and-``perf`` and excluded from tier-1; run with::
     PYTHONPATH=src python -m pytest benchmarks/test_perf_canonical.py -m perf
 
 Re-runs ``benchmarks/run_canonical.py`` and asserts the headline
-claims: the canonical cache tier recognizes strictly more repeated
+claims: keying on the canonical form recognizes strictly more repeated
 queries than exact-text matching on a paraphrase-heavy workload,
 semantic dedupe collapses a substantial share of a paraphrase-
 augmented corpus, and per-query canonicalization latency stays in

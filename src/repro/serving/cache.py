@@ -15,22 +15,6 @@ questions skip straight to the fallback chain.
 Expired entries are kept until LRU eviction claims them so the service
 can serve them *stale* while the circuit breaker is open
 (``get(..., allow_expired=True)``).
-
-Canonical coalescing tier
--------------------------
-With a ``canonical_key_fn`` (PR 10), every ``put`` additionally indexes
-the *model output* by its canonical SQL key
-(:func:`repro.sql.canonical.canonical_key_for_sql` over the service's
-schema).  Paraphrases that anonymize differently but compile to one
-canonical query then **coalesce at put-time**: the later entry reuses
-the earlier entry's stored output object (``cache.canonical_hits``),
-making the redundancy measurable and the storage shared — while the
-*lookup* key stays the anonymized question, which is what the sharded
-tier routes on (duplicate-free shard placement, PR 8) and what keeps a
-hit possible *before* the model has run.  Coalescing never changes a
-served payload: an output that is canonically equal but textually
-different from the indexed one is kept verbatim and counted as
-``cache.canonical_variants`` instead.
 """
 
 from __future__ import annotations
@@ -61,10 +45,6 @@ class TranslationCache:
         Seconds an entry stays fresh; ``<= 0`` disables expiry.
     clock:
         Monotonic time source (injectable for tests).
-    canonical_key_fn:
-        Optional ``model output -> canonical key`` function enabling
-        the canonical coalescing tier; ``None`` keys (unparseable
-        output, negative entries) are counted and skipped.
     """
 
     def __init__(
@@ -72,27 +52,18 @@ class TranslationCache:
         capacity: int = 2048,
         ttl: float = 300.0,
         clock: Callable[[], float] = time.monotonic,
-        canonical_key_fn: Callable[[str | None], str | None] | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.ttl = ttl
         self._clock = clock
-        self._canonical_key_fn = canonical_key_fn
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, tuple[str | None, float]] = OrderedDict()
-        #: canonical key -> first-seen model output for that query.
-        self._canonical: OrderedDict[str, str] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stale_hits = 0
         self.evictions = 0
-        self.canonical_probes = 0
-        self.canonical_hits = 0
-        self.canonical_variants = 0
-        self.canonical_new = 0
-        self.canonical_skipped = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -122,49 +93,12 @@ class TranslationCache:
         """Insert or refresh an entry, evicting LRU entries over capacity."""
         now = self._clock()
         with self._lock:
-            value = self._coalesce(value)
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = (value, now)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def _coalesce(self, value: str | None) -> str | None:
-        """Route ``value`` through the canonical index (lock held).
-
-        Returns the stored representative when the canonical tier has
-        already seen a textually identical output for the same
-        canonical query, so equal payloads share one string object;
-        the returned text always compares equal to ``value``.
-        """
-        if self._canonical_key_fn is None:
-            return value
-        self.canonical_probes += 1
-        canonical = self._canonical_key_fn(value) if value is not None else None
-        if canonical is None:
-            self.canonical_skipped += 1
-            return value
-        existing = self._canonical.get(canonical)
-        if existing is None:
-            self.canonical_new += 1
-            self._canonical[canonical] = value
-            while len(self._canonical) > self.capacity:
-                self._canonical.popitem(last=False)
-            return value
-        self._canonical.move_to_end(canonical)
-        if existing == value:
-            self.canonical_hits += 1
-            return existing
-        # Canonically equal but textually different: payload fidelity
-        # wins — serve the new text verbatim, count the variant.
-        self.canonical_variants += 1
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._canonical.clear()
 
     def keys(self) -> list[str]:
         """Snapshot of the resident keys (LRU order, oldest first).
@@ -186,8 +120,7 @@ class TranslationCache:
         """JSON-ready counters snapshot."""
         with self._lock:
             size = len(self._entries)
-            canonical_index_size = len(self._canonical)
-        snap = {
+        return {
             "size": size,
             "capacity": self.capacity,
             "hits": self.hits,
@@ -196,15 +129,3 @@ class TranslationCache:
             "evictions": self.evictions,
             "hit_rate": round(self.hit_rate, 4),
         }
-        if self._canonical_key_fn is not None:
-            snap.update(
-                {
-                    "canonical_probes": self.canonical_probes,
-                    "canonical_hits": self.canonical_hits,
-                    "canonical_variants": self.canonical_variants,
-                    "canonical_new": self.canonical_new,
-                    "canonical_skipped": self.canonical_skipped,
-                    "canonical_index_size": canonical_index_size,
-                }
-            )
-        return snap

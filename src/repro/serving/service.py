@@ -234,12 +234,7 @@ class TranslationService(ServingTier):
         self._clock = clock
         cfg = self.config
         self.cache = (
-            TranslationCache(
-                cfg.cache_capacity,
-                cfg.cache_ttl,
-                clock=clock,
-                canonical_key_fn=self._canonical_key_fn,
-            )
+            TranslationCache(cfg.cache_capacity, cfg.cache_ttl, clock=clock)
             if cfg.cache_capacity > 0
             else None
         )
@@ -419,19 +414,6 @@ class TranslationService(ServingTier):
         self.nlidb.model = model
         self.metrics.increment("model.reloads")
 
-    def _canonical_key_fn(self, output: str | None) -> str | None:
-        """Canonical SQL key of a raw model output (``None`` = skip).
-
-        Bound method rather than a closure so the sharded tier can
-        pickle service factories; model output may be arbitrarily
-        malformed, which ``canonical_key_for_sql`` absorbs as ``None``.
-        """
-        if output is None:
-            return None
-        from repro.sql.canonical import canonical_key_for_sql
-
-        return canonical_key_for_sql(output, self.nlidb.database.schema)
-
     def stats(self, include_samples: bool = False) -> dict:
         """Combined metrics / cache / breaker / per-stage perf snapshot.
 
@@ -534,19 +516,6 @@ class TranslationService(ServingTier):
                     ),
                 ]
             )
-            if "canonical_probes" in cache:
-                identities.append(
-                    identity(
-                        "cache.canonical_probes == canonical_hits"
-                        " + canonical_variants + canonical_new"
-                        " + canonical_skipped",
-                        cache["canonical_probes"],
-                        cache["canonical_hits"]
-                        + cache["canonical_variants"]
-                        + cache["canonical_new"]
-                        + cache["canonical_skipped"],
-                    )
-                )
         if self._repair is not None:
             identities.extend(
                 [

@@ -26,10 +26,10 @@ result-cache key and pattern signatures):
 
 **Semantic rules** (:func:`canonicalize` / :func:`canonical_text` /
 :func:`canonical_key`) go further: a larger class of result-equivalent
-spellings collapses to one AST.  The canonical form backs the serving
-cache's coalescing index, semantic corpus dedupe, the
-``semantic_match`` eval column, the repair loop's oscillation guard and
-the equivalence oracle's proofs — so its soundness contract is strict:
+spellings collapses to one AST.  The canonical form backs semantic
+corpus dedupe, the ``semantic_match`` eval column, the repair loop's
+oscillation guard and the equivalence oracle's proofs — so its
+soundness contract is strict:
 
     every rewrite must be **result-invariant** on the reference
     executor (:mod:`repro.db`).  Two queries may share a canonical form
@@ -143,8 +143,8 @@ def canonical_key(query: Query, schema=None) -> str:
 def canonical_key_for_sql(sql: str, schema=None) -> str | None:
     """``canonical_key`` over raw SQL text; ``None`` when unparseable.
 
-    The serving cache uses this at put-time on raw model output, which
-    may be arbitrarily malformed — parse failures must not raise.
+    Raw model output may be arbitrarily malformed — parse failures must
+    not raise.
     """
     from repro.errors import ReproError
     from repro.sql.parser import parse

@@ -3,11 +3,11 @@
 ``benchmarks/run_canonical.py`` is executed end-to-end in miniature
 (``--smoke`` shrinks the corpora and repeats) so the benchmark script
 cannot rot out from under the canonicalizer: it synthesizes both seed
-corpora, drives the paraphrase workload through the coalescing cache,
-runs exact-vs-semantic dedupe, times ``canonical_key_for_sql``, and
-must emit a well-formed record whose deterministic properties (uplift
-non-negative, probes reconciled, augmented dedupe density positive)
-hold even at smoke scale.  No latency assertion — that gate lives in
+corpora, counts the paraphrase workload's repeats by exact text and by
+canonical key, runs exact-vs-semantic dedupe, times
+``canonical_key_for_sql``, and must emit a well-formed record whose
+deterministic properties (uplift non-negative, puts reconciled,
+augmented dedupe density positive) hold even at smoke scale.  No latency assertion — that gate lives in
 ``benchmarks/test_perf_canonical.py``.
 """
 
@@ -42,7 +42,7 @@ def test_smoke_run_writes_valid_record(tmp_path):
         latency = result["latency"]
         assert result["corpus_pairs"] > 0, name
         assert cache["puts"] == result["workload_outputs"]
-        # The canonical tier can only recognize MORE repeats than
+        # The canonical key can only recognize MORE repeats than
         # exact-text matching, never fewer.
         assert cache["canonical_repeats"] >= cache["exact_repeats"], (name, cache)
         assert cache["hit_rate_uplift"] >= 0, (name, cache)

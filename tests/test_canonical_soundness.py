@@ -2,7 +2,7 @@
 
 Hard contract from the canonicalization design: the canonicalizer must
 **never merge queries that can produce different results**.  This gate
-attacks that claim three ways:
+attacks that claim two ways:
 
 1. **Randomized schemas** — every catalog schema is populated at fixed
    seeds; schema-derived probe queries are expanded with
@@ -13,15 +13,10 @@ attacks that claim three ways:
 2. **Seed corpora** — every executable query both training corpora
    synthesize, shuffled the same way, grouped by canonical key, and
    differentially executed.
-3. **Cache payload bit-identity** — a property check that the
-   canonical coalescing tier in :class:`TranslationCache` never alters
-   any observable payload relative to a canonical-tier-off cache fed
-   the same randomized put/get sequence.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -32,9 +27,8 @@ from repro.db.planner import execute_planned
 from repro.errors import ReproError
 from repro.runtime.postprocess import PostProcessor, _transform_query
 from repro.schema import SCHEMA_FACTORIES, load_schema
-from repro.serving.cache import TranslationCache
 from repro.sql.ast import And, Between, Comparison, CompOp, InPredicate, Not, Or
-from repro.sql.canonical import canonical_key, canonical_key_for_sql
+from repro.sql.canonical import canonical_key
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 
@@ -265,88 +259,3 @@ def test_corpus_soundness(request, corpus_fixture, db_fixture):
     for members in merged:
         assert_group_agrees(members, database)
 
-
-# ----------------------------------------------------------------------
-# 3. Cache payload bit-identity (canonical tier on vs off)
-# ----------------------------------------------------------------------
-
-
-SQL_POOL = [
-    "SELECT name FROM patients WHERE age = 20 OR age = 30",
-    "SELECT name FROM patients WHERE age IN (20, 30)",
-    "SELECT name FROM patients WHERE age IN (30, 20)",
-    "SELECT name FROM patients WHERE age BETWEEN 20 AND 30",
-    "SELECT name FROM patients WHERE age >= 20 AND age <= 30",
-    "SELECT AVG(age) FROM patients",
-    "SELECT * FROM patients",
-    "completely unparseable ((((",
-    None,
-]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_cache_payload_bit_identity(seed):
-    """Property: the coalescing tier never changes observable payloads.
-
-    The same randomized put/get sequence runs against a canonical-tier
-    cache and a plain one; every ``get`` must return an identical
-    payload (same text, same hit/miss outcome) in both.
-    """
-    schema = load_schema("patients")
-
-    def key_fn(sql):
-        return canonical_key_for_sql(sql, schema)
-
-    plain = TranslationCache(capacity=8, ttl=0)
-    coalescing = TranslationCache(capacity=8, ttl=0, canonical_key_fn=key_fn)
-    rng = random.Random(seed)
-    for _ in range(300):
-        key = f"nl-{rng.randrange(12)}"
-        if rng.random() < 0.5:
-            value = rng.choice(SQL_POOL)
-            plain.put(key, value)
-            coalescing.put(key, value)
-        else:
-            left = plain.get(key)
-            right = coalescing.get(key)
-            assert (left is None) == (right is None)
-            if left is not None and right is not None:
-                assert left.value == right.value
-                assert left.stale == right.stale
-    # The run must have exercised actual coalescing, and the stats
-    # identity (also asserted by the serving tier's reconciliation)
-    # must hold.
-    stats = coalescing.stats()
-    assert stats["canonical_hits"] > 0
-    assert stats["canonical_probes"] == (
-        stats["canonical_hits"]
-        + stats["canonical_variants"]
-        + stats["canonical_new"]
-        + stats["canonical_skipped"]
-    )
-    assert "canonical_probes" not in plain.stats()
-
-
-def test_cache_interning_shares_payload_objects():
-    """Equal payloads for one canonical query collapse to one string."""
-    schema = load_schema("patients")
-    cache = TranslationCache(
-        capacity=8,
-        ttl=0,
-        canonical_key_fn=lambda sql: canonical_key_for_sql(sql, schema),
-    )
-    text = "SELECT name FROM patients WHERE age IN (20, 30)"
-    cache.put("a", text)
-    cache.put("b", "SELECT name FROM patients " + "WHERE age IN (20, 30)")
-    first = cache.get("a")
-    second = cache.get("b")
-    assert first is not None and second is not None
-    assert first.value == second.value
-    assert first.value is second.value  # interned, not just equal
-    # A canonically-equal but textually different payload is preserved
-    # verbatim (payload fidelity beats interning).
-    variant = "SELECT name FROM patients WHERE age IN (30, 20)"
-    cache.put("c", variant)
-    third = cache.get("c")
-    assert third is not None and third.value == variant
-    assert cache.canonical_variants == 1

@@ -1,10 +1,11 @@
 """Cross-layer wiring of the canonical analyzer (PR contract).
 
-One static pass, four consumers: the serving cache's coalescing tier
-and its accounting identity, corpus ``dedupe_pairs(semantic=True)``
+One static pass, three consumers: corpus ``dedupe_pairs(semantic=True)``
 (plus the pipeline flag), the eval harness's ``semantic`` column, and
 the repair loop's canonical oscillation/dedupe guard.  Each class here
-pins one consumer to the shared canonicalizer.
+pins one consumer to the shared canonicalizer, and ``TestServingCache``
+pins that the serving cache is not one: it stores model output keyed on
+the anonymized question and never canonicalizes.
 """
 
 import pickle
@@ -58,54 +59,60 @@ def _service(patients_db, model, **overrides):
     return TranslationService(DBPal(patients_db, model), config)
 
 
-class TestServingCanonicalTier:
-    def test_canonical_counters_and_accounting(self, patients_db):
+class TestServingCache:
+    def test_put_stores_model_output_only(self, patients_db, monkeypatch):
+        import repro.sql.canonical
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("canonical_key_for_sql", "canonical_key"):
+            monkeypatch.setattr(
+                repro.sql.canonical,
+                name,
+                counting(getattr(repro.sql.canonical, name)),
+            )
         age = sorted(set(patients_db.column_values("patients", "age")))[0]
         with _service(patients_db, ParaphraseModel()) as service:
             # Three phrasings -> three distinct anonymized cache keys,
             # one canonical query.
-            service.translate(f"show the patients with age {age}")
-            service.translate(f"list the patients with age {age}")
-            service.translate(f"display the patients with age {age}")
+            for verb in ("show", "list", "display"):
+                assert service.translate(f"{verb} the patients with age {age}").ok
             stats = service.stats()
-        cache = stats["cache"]
-        assert cache["canonical_probes"] == 3
-        assert cache["canonical_new"] == 1
-        assert cache["canonical_hits"] == 1  # identical text interned
-        assert cache["canonical_variants"] == 1  # flipped spelling kept
-        assert cache["canonical_index_size"] == 1
-        names = [i["identity"] for i in stats["accounting"]["identities"]]
-        assert (
-            "cache.canonical_probes == canonical_hits + canonical_variants"
-            " + canonical_new + canonical_skipped" in names
-        )
+        # The serving path never canonicalizes: lookups and puts are
+        # keyed on the anonymized question alone.
+        assert calls == []
+        assert set(stats["cache"]) == {
+            "size",
+            "capacity",
+            "hits",
+            "misses",
+            "stale_hits",
+            "evictions",
+            "hit_rate",
+        }
+        assert stats["cache"]["size"] == 3
         assert stats["accounting"]["consistent"], stats["accounting"]
 
-    def test_payloads_survive_coalescing(self, patients_db):
+    def test_payloads_served_verbatim(self, patients_db):
         ages = sorted(set(patients_db.column_values("patients", "age")))[:2]
         with _service(patients_db, ParaphraseModel()) as service:
             flipped = service.translate(f"display the patients with age {ages[0]}")
             straight = service.translate(f"show the patients with age {ages[1]}")
-        # The variant's own text is served verbatim — coalescing only
-        # interns bit-identical payloads, it never rewrites them.
+        # The flipped spelling's own text is served verbatim, never
+        # rewritten to a canonically equal one.
         assert flipped.ok and straight.ok
         assert flipped.sql != straight.sql
         assert str(ages[0]) in flipped.sql
 
-    def test_unparseable_output_counts_skipped(self, patients_db):
-        class BrokenModel(ParaphraseModel):
-            SPELLINGS = {"show": "THIS IS NOT SQL ((("}
-
-        age = sorted(set(patients_db.column_values("patients", "age")))[0]
-        with _service(patients_db, BrokenModel()) as service:
-            service.translate(f"show the patients with age {age}")
-            stats = service.stats()
-        cache = stats["cache"]
-        assert cache["canonical_skipped"] >= 1
-        assert stats["accounting"]["consistent"], stats["accounting"]
-
-    def test_merge_shard_stats_sums_canonical_fields(self):
-        def snap(probes, hits, variants, new, skipped):
+    def test_merge_shard_stats_sums_cache_fields(self):
+        def snap(hits, misses, stale_hits, extra):
             return {
                 "counters": {},
                 "latency_samples": [],
@@ -113,29 +120,29 @@ class TestServingCanonicalTier:
                 "cache": {
                     "size": 1,
                     "capacity": 8,
-                    "hits": 0,
-                    "misses": 1,
-                    "stale_hits": 0,
+                    "hits": hits,
+                    "misses": misses,
+                    "stale_hits": stale_hits,
                     "evictions": 0,
                     "hit_rate": 0.0,
-                    "canonical_probes": probes,
-                    "canonical_hits": hits,
-                    "canonical_variants": variants,
-                    "canonical_new": new,
-                    "canonical_skipped": skipped,
-                    "canonical_index_size": new,
+                    "extra": extra,
                 },
             }
 
         merged = merge_shard_stats(
-            [snap(3, 1, 1, 1, 0), snap(2, 0, 0, 1, 1)], elapsed=1.0
+            [snap(3, 1, 0, 3), snap(1, 2, 1, 4)], elapsed=1.0
         )
         cache = merged["cache"]
-        assert cache["canonical_probes"] == 5
-        assert cache["canonical_hits"] == 1
-        assert cache["canonical_variants"] == 1
-        assert cache["canonical_new"] == 2
-        assert cache["canonical_skipped"] == 1
+        assert cache["size"] == 2
+        assert cache["capacity"] == 16
+        assert cache["hits"] == 4
+        assert cache["misses"] == 3
+        assert cache["stale_hits"] == 1
+        assert cache["evictions"] == 0
+        # A field the merge has never heard of is summed all the same.
+        assert cache["extra"] == 7
+        # hit_rate is recomputed over the summed lookups, not summed.
+        assert cache["hit_rate"] == round(4 / 8, 4)
 
 
 def _pair(nl, sql, schema_name="patients"):
