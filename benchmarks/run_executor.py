@@ -10,7 +10,7 @@ in three arms over identical workloads:
   planning each call, no session state;
 * ``planned_cached`` — one :class:`repro.db.planner.ExecutorSession`
   for the whole workload: lazy per-column equality indexes plus the
-  bounded LRU result cache keyed on canonical SQL (the eval-harness
+  bounded LRU result cache keyed on the printed SQL (the eval-harness
   shape, where every gold query repeats across a report).
 
 Two workloads, each repeated ``repeats`` times:

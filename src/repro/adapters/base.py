@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import BackendError
 from repro.schema.schema import Schema
@@ -166,7 +166,3 @@ def create_backend(name: str, *args, **kwargs) -> BackendAdapter:
             f"unknown backend {name!r}; registered: {backend_names()}"
         ) from None
     return cls(*args, **kwargs)
-
-
-def iter_backends() -> Iterator[tuple[str, type]]:
-    yield from sorted(BACKENDS.items())

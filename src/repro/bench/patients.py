@@ -83,16 +83,6 @@ class _Shape:
     variants: tuple[dict, ...]  # slot dicts, one per benchmark query
 
 
-def _attr_phrase(column: str) -> str:
-    return {
-        "name": "name",
-        "age": "age",
-        "gender": "gender",
-        "diagnosis": "diagnosis",
-        "length_of_stay": "length of stay",
-    }[column]
-
-
 # ----------------------------------------------------------------------
 # Shape definitions (19 shapes x 3 variants = 57 queries)
 # ----------------------------------------------------------------------

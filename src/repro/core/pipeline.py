@@ -40,12 +40,6 @@ class TrainingCorpus:
     def __iter__(self):
         return iter(self.pairs)
 
-    def nl_texts(self) -> list[str]:
-        return [p.nl for p in self.pairs]
-
-    def sql_texts(self) -> list[str]:
-        return [p.sql_text for p in self.pairs]
-
     def family_counts(self) -> dict[str, int]:
         """Training pairs per query family (for balance diagnostics)."""
         return dict(Counter(p.family.value for p in self.pairs))

@@ -31,7 +31,7 @@ identity over the seed corpus and randomized databases.
 
 :class:`ExecutorSession` adds the serving-scale conveniences on top:
 lazily built per-column equality indexes, a bounded LRU result cache
-keyed on canonical SQL (the eval harness executes each distinct gold
+keyed on the printed SQL (the eval harness executes each distinct gold
 query once per report), and :class:`~repro.perf.PerfRecorder` stage
 timings for scan / join / filter / group / sort.
 """
@@ -559,15 +559,14 @@ class _CachedResult:
 class _CachedFailure:
     """One remembered :class:`~repro.errors.ExecutionError`.
 
-    Holds the printed SQL that raised it and what a fresh copy of the
-    error needs: its class, ``args`` and ``code``.  :meth:`rows` stands
-    in for :meth:`_CachedResult.rows` on a hit and raises that copy.
+    Holds what a fresh copy of the error needs: its class, ``args`` and
+    ``code``.  :meth:`rows` stands in for :meth:`_CachedResult.rows` on
+    a hit and raises that copy.
     """
 
-    __slots__ = ("sql", "error_type", "args", "code")
+    __slots__ = ("error_type", "args", "code")
 
-    def __init__(self, sql: str, error: ExecutionError) -> None:
-        self.sql = sql
+    def __init__(self, error: ExecutionError) -> None:
         self.error_type = type(error)
         self.args = error.args
         self.code = error.code
@@ -584,7 +583,7 @@ class ExecutorSession:
     Holds lazily built per-column equality hash indexes, an optional
     :class:`~repro.db.index.ValueIndex` used to prune equality scans
     whose constant cannot appear in the column, a bounded LRU result
-    cache keyed on canonical SQL (which remembers execution errors as
+    cache keyed on the printed SQL (which remembers execution errors as
     well as results), and a :class:`PerfRecorder` with
     scan/join/filter/group/sort stage timings.  All caches observe
     :attr:`Database.version` and reset when rows are inserted.
@@ -602,15 +601,11 @@ class ExecutorSession:
         self.value_index = value_index
         self.recorder = recorder if recorder is not None else PerfRecorder()
         self._cache_size = cache_size
-        self._cache: OrderedDict[tuple, _CachedResult | _CachedFailure] = (
+        self._cache: OrderedDict[str, _CachedResult | _CachedFailure] = (
             OrderedDict()
         )
         # Guards the cache and its counters; never held while executing.
         self._cache_lock = threading.Lock()
-        # Printed SQL -> canonical_sql, bounded like ``_cache``.  Pure, so
-        # data-version resets keep it; keyed on text because literals
-        # ``5`` and ``5.0`` compare equal as AST nodes but print apart.
-        self._canonical: OrderedDict[str, str] = OrderedDict()
         self._eq_indexes: dict[tuple[str, str], dict[Any, list[Row]]] = {}
         self._db_version = database.version
         self.cache_hits = 0
@@ -632,48 +627,30 @@ class ExecutorSession:
             self._eq_indexes.clear()
             self._db_version = self.database.version
 
-    def execute(
-        self, query: Query, max_rows: int | None = None, use_cache: bool = True
-    ) -> list[Row]:
+    def execute(self, query: Query, max_rows: int | None = None) -> list[Row]:
         """Planned execution with result caching.
 
-        Cache entries key on :func:`canonical_sql`, so cosmetically
-        different but canonically identical queries (the repeated gold
-        queries of an eval report) share one execution.  The key also
-        holds the query's own SELECT labels and FROM order, which
-        canonical SQL drops or sorts but which name the output columns
-        and order the rows.  An entry holds the result once, as its
-        column labels and one tuple of values per row.  Every call
-        returns fresh dicts for only the first ``max_rows`` rows —
-        callers may mutate them freely.
+        Cache entries key on :func:`~repro.sql.printer.to_sql`, the text
+        memoized on the query.  It spells the SELECT labels that name the
+        output columns, the FROM order that orders the rows, and ``5``
+        apart from ``5.0``, so every query sharing a key runs alike.  An
+        entry holds the result once, as its column labels and one tuple
+        of values per row.  Every call returns fresh dicts for only the
+        first ``max_rows`` rows — callers may mutate them freely.
 
-        An :class:`~repro.errors.ExecutionError` is remembered too, with
-        the printed SQL that raised it: a later call with the same text
-        raises a fresh copy (same class, message and ``code``) without
-        planning or running anything.  A canonically equal query printed
-        differently runs, and its outcome replaces the entry.  Other
-        exceptions are never remembered.  Safe to call from many threads.
+        An :class:`~repro.errors.ExecutionError` is remembered too: a
+        later call with the same text raises a fresh copy (same class,
+        message and ``code``) without planning or running anything.
+        Other exceptions are never remembered.  ``cache_size=0`` runs
+        every call uncached.  Safe to call from many threads.
         """
         self._check_version()
         cached = None
         key = None
-        if use_cache and self._cache_size > 0:
-            text = to_sql(query)
-            # The labels and FROM order are a pure function of the frozen
-            # query, so they are memoized in its ``__dict__`` beside
-            # ``to_sql``'s text.
-            memo = query.__dict__
-            shape = memo.get("_labels_and_from")
-            if shape is None:
-                shape = memo["_labels_and_from"] = (
-                    tuple(str(item) for item in query.select),
-                    tuple(query.from_tables),
-                )
-            key = (self._canonical_sql(query, text), *shape)
+        if self._cache_size > 0:
+            key = to_sql(query)
             with self._cache_lock:
                 cached = self._cache.get(key)
-                if type(cached) is _CachedFailure and cached.sql != text:
-                    cached = None
                 if cached is None:
                     self.cache_misses += 1
                 else:
@@ -685,7 +662,7 @@ class ExecutorSession:
             rows = execute_planned(query, self.database, session=self)
         except ExecutionError as error:
             if key is not None:
-                self._remember(key, _CachedFailure(text, error))
+                self._remember(key, _CachedFailure(error))
             raise
         if key is not None:
             self._remember(key, _CachedResult.pack(rows))
@@ -693,24 +670,11 @@ class ExecutorSession:
         # none of them, so they go out as they are.
         return rows[:max_rows]
 
-    def _remember(self, key: tuple, entry: _CachedResult | _CachedFailure) -> None:
+    def _remember(self, key: str, entry: _CachedResult | _CachedFailure) -> None:
         with self._cache_lock:
             self._cache[key] = entry
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-
-    def _canonical_sql(self, query: Query, text: str) -> str:
-        with self._cache_lock:
-            canonical = self._canonical.get(text)
-            if canonical is not None:
-                self._canonical.move_to_end(text)
-        if canonical is None:
-            canonical = canonical_sql(query)
-            with self._cache_lock:
-                self._canonical[text] = canonical
-                while len(self._canonical) > self._cache_size:
-                    self._canonical.popitem(last=False)
-        return canonical
 
     def note_columnar(self, trace: ColumnarTrace) -> None:
         """Fold one columnar execution's arm decisions into the session."""

@@ -122,10 +122,6 @@ class ColumnData:
     exact: bool
     float_safe: bool
 
-    @property
-    def has_nulls(self) -> bool:
-        return self.nulls is not None
-
 
 _KIND_BY_CTYPE = {
     ColumnType.INTEGER: "int",

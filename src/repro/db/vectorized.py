@@ -960,10 +960,6 @@ class _GroupedState:
         self.starts = np.searchsorted(self.sorted_gid, np.arange(G))
 
 
-def _materialize_scalar(value: Any, is_null: bool) -> Any:
-    return None if is_null else value
-
-
 def _segment_min_max(
     state: _GroupedState, values: Any, mask: Any, want_max: bool
 ) -> list[Any]:

@@ -5,8 +5,8 @@ disappear.  Each node's children are finished before the node itself
 is flattened, sorted or merged, so the walk never revisits a node.
 
 **Syntactic rules** (always on; :func:`normalize` /
-:func:`canonical_sql`, the unit of exact match, the planner's
-result-cache key and pattern signatures):
+:func:`canonical_sql`, the unit of exact match and of pattern
+signatures):
 
 1. ``a OP b`` with the column on the right is flipped (``18 < age``
    becomes ``age > 18``); column-to-column comparisons order their

@@ -72,17 +72,14 @@ class EquivalenceChecker:
         Optional :class:`~repro.perf.PerfRecorder` shared by every
         probe session; the eval harness passes one so its summary can
         report per-stage executor timings.
-    cache_size:
-        Per-database result-cache capacity.  Probe queries run through
-        the planned executor (:class:`repro.db.planner.ExecutorSession`)
-        with results cached on canonical SQL, so a gold query repeated
-        across an eval report executes once per database, not once per
-        prediction.
+
+    Probe queries on a ``Database`` arm run through the planned executor
+    (:class:`repro.db.planner.ExecutorSession`), whose results are cached
+    on the printed SQL, so a gold query repeated across an eval report
+    executes once per database, not once per prediction.
     """
 
-    def __init__(
-        self, databases: Iterable = (), recorder=None, cache_size: int = 256
-    ) -> None:
+    def __init__(self, databases: Iterable = (), recorder=None) -> None:
         from repro.db.planner import ExecutorSession  # lazy imports:
         from repro.db.storage import Database  # db depends on sql
 
@@ -92,7 +89,7 @@ class EquivalenceChecker:
             recorder = PerfRecorder()
         self.recorder = recorder
         self._arms = [
-            ExecutorSession(arm, cache_size=cache_size, recorder=recorder)
+            ExecutorSession(arm, recorder=recorder)
             if isinstance(arm, Database)
             else arm
             for arm in databases

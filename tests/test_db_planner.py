@@ -187,13 +187,20 @@ def test_planner_survives_where_cross_product_guard_trips():
 # ----------------------------------------------------------------------
 
 
-def test_session_cache_hits_on_canonical_equivalents(retail_db):
+def test_session_cache_keys_on_printed_sql(retail_db):
     session = ExecutorSession(retail_db)
-    first = session.execute(parse("SELECT name FROM customer WHERE age = 34"))
-    # Different surface text, same canonical SQL: flip the comparison.
-    second = session.execute(parse("SELECT name FROM customer WHERE 34 = age"))
+    texts = (
+        "SELECT name FROM customer WHERE age = 34",
+        # Same canonical SQL, different text: a second entry.
+        "SELECT name FROM customer WHERE 34 = age",
+    )
+    first, second = (session.execute(parse(sql)) for sql in texts)
     assert first == second
-    assert session.cache_hits == 1 and session.cache_misses == 1
+    assert (session.cache_misses, session.cache_hits) == (2, 0)
+    for sql, expected in zip(texts, (first, second)):
+        assert session.execute(parse(sql)) == expected
+    assert (session.cache_misses, session.cache_hits) == (2, 2)
+    assert list(session._cache) == list(texts)
 
 
 def test_session_cache_returns_fresh_copies(retail_db):
@@ -247,7 +254,7 @@ def _ordered(rows):
     return [list(row.items()) for row in rows]
 
 
-def test_canonical_memo_hit_keeps_the_querys_own_labels_and_from_order(retail_db):
+def test_canonical_equivalents_keep_their_own_labels_and_from_order(retail_db):
     pairs = [
         (
             "SELECT * FROM customer, orders "
@@ -263,13 +270,12 @@ def test_canonical_memo_hit_keeps_the_querys_own_labels_and_from_order(retail_db
     session = ExecutorSession(retail_db)
     for first, second in pairs:
         assert canonical_sql(parse(first)) == canonical_sql(parse(second))
-        # The second round takes every canonical key from the memo.
+        # The second round hits each text's own entry.
         for sql in (first, second, first, second):
             query = parse(sql)
             assert _ordered(session.execute(query)) == _ordered(
                 execute(query, retail_db)
             )
-    assert len(session._canonical) == 4
 
 
 def test_canonical_memo_keys_int_and_float_literals_apart(patients_db):
@@ -281,7 +287,7 @@ def test_canonical_memo_keys_int_and_float_literals_apart(patients_db):
     assert parse(texts[0]) == parse(texts[1])  # AST equality cannot tell
     for sql in texts:
         session.execute(parse(sql))
-    assert list(session._canonical) == list(texts)
+    assert list(session._cache) == list(texts)
 
 
 def test_session_cache_is_thread_safe(retail_db):

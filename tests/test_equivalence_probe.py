@@ -62,7 +62,7 @@ def test_equivalent_stops_at_the_first_refuting_arm(databases):
 def test_arms_are_built_once(databases):
     session = ExecutorSession(databases[1])
     adapter = MemoryAdapter(databases[0])
-    checker = EquivalenceChecker([databases[0], session, adapter], cache_size=8)
+    checker = EquivalenceChecker([databases[0], session, adapter])
     first, second, third = checker._arms
     assert isinstance(first, ExecutorSession) and first.database is databases[0]
     assert first.recorder is checker.recorder

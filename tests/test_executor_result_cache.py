@@ -10,11 +10,12 @@ returned row or list reaches a later result.  A ``tracemalloc`` check
 pins the point of the representation: a large join's entry retains
 well under what a list of row dicts would.
 
-The session also remembers an ``ExecutionError`` with the printed SQL
-that raised it.  The failure-cache tests pin that a replay raises a
-fresh error of the same class, message and code without running the
-planner, and that text changes, inserts, disabled caching and other
-exceptions all go through execution as before.
+The cache keys on the printed SQL, and it remembers an
+``ExecutionError`` under the text that raised it.  The failure-cache
+tests pin that a replay raises a fresh error of the same class, message
+and code without running the planner, and that text changes, inserts,
+disabled caching and other exceptions all go through execution as
+before.  No lookup, miss or replay canonicalizes anything.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.db.planner import ExecutorSession, execute_planned
 from repro.errors import ExecutionError, ReproError
 from repro.runtime.postprocess import PostProcessor, _transform_query
 from repro.schema import load_schema
+from repro.sql import canonical
 from repro.sql.canonical import canonical_sql
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -152,9 +154,9 @@ def test_cached_join_retains_under_half_of_its_row_dicts(databases):
     database = databases["flights"]
     query = parse(FLIGHTS_JOIN)
     session = ExecutorSession(database)
-    # Warm the session's lazy equality indexes and the database's
-    # views outside the measurement; only the cache entry is counted.
-    session.execute(query, use_cache=False)
+    # Warm the database's views outside the measurement, through an
+    # uncached session; only the cache entry is counted.
+    ExecutorSession(database, cache_size=0).execute(query)
     gc.collect()
     tracemalloc.start()
     try:
@@ -235,21 +237,48 @@ def test_each_replay_raises_a_new_error_with_a_flat_traceback():
     assert all(error.__context__ is None for error in errors[1:])
 
 
-def test_a_reordered_query_with_the_same_key_runs(planner_runs):
+def test_each_text_replays_its_own_failure(planner_runs):
     database = populate(load_schema("patients"), 20, seed=DB_SEED)
     age_first = parse("SELECT name FROM patients WHERE age = @AGE AND gender = @GENDER")
     gender_first = parse("SELECT name FROM patients WHERE gender = @GENDER AND age = @AGE")
     assert canonical_sql(age_first) == canonical_sql(gender_first)
     session = ExecutorSession(database)
     # The unresolved-placeholder message names the first placeholder,
-    # so the two texts fail differently under one cache key.
+    # so the two texts fail differently, each under its own key.
     assert "@AGE" in str(_failure(lambda: session.execute(age_first)))
     assert "@GENDER" in str(_failure(lambda: session.execute(gender_first)))
     assert "@GENDER" in str(_failure(lambda: session.execute(gender_first)))
     assert "@AGE" in str(_failure(lambda: session.execute(age_first)))
-    assert planner_runs == [to_sql(age_first), to_sql(gender_first), to_sql(age_first)]
-    assert (session.cache_misses, session.cache_hits) == (3, 1)
-    assert session.stats()["cache_size"] == 1
+    assert planner_runs == [to_sql(age_first), to_sql(gender_first)]
+    assert (session.cache_misses, session.cache_hits) == (2, 2)
+    assert session.stats()["cache_size"] == 2
+
+
+def test_no_lookup_miss_or_replay_canonicalizes(monkeypatch):
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(canonical, "normalize", counting(canonical.normalize))
+    monkeypatch.setattr(planner, "canonical_sql", counting(planner.canonical_sql))
+    database = populate(load_schema("patients"), 20, seed=DB_SEED)
+    session = ExecutorSession(database)
+    texts = (
+        "SELECT name FROM patients WHERE age > 30",
+        "SELECT name FROM patients WHERE 30 < age",
+        "SELECT name FROM patients WHERE age = @AGE",
+    )
+    for _round in ("misses", "hits"):
+        for sql in texts[:2]:
+            session.execute(parse(sql))
+        _failure(lambda: session.execute(parse(texts[2])))
+    assert calls == []
+    assert (session.cache_misses, session.cache_hits) == (3, 3)
 
 
 def test_an_insert_forgets_a_failure():
@@ -268,17 +297,11 @@ def test_an_insert_forgets_a_failure():
     assert session.execute(query) == [{"AVG(name)": None}]
 
 
-@pytest.mark.parametrize(
-    "use_cache, cache_size", [(False, 256), (True, 0)], ids=["use_cache", "size0"]
-)
-def test_disabled_caching_never_remembers_a_failure(planner_runs, use_cache, cache_size):
+def test_disabled_caching_never_remembers_a_failure(planner_runs):
     database = populate(load_schema("patients"), 20, seed=DB_SEED)
     query = parse("SELECT name FROM patients WHERE age = @AGE")
-    session = ExecutorSession(database, cache_size=cache_size)
-    messages = {
-        str(_failure(lambda: session.execute(query, use_cache=use_cache)))
-        for _attempt in range(3)
-    }
+    session = ExecutorSession(database, cache_size=0)
+    messages = {str(_failure(lambda: session.execute(query))) for _attempt in range(3)}
     assert len(messages) == 1
     assert len(planner_runs) == 3
     assert session.stats()["cache_size"] == 0

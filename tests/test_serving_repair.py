@@ -678,9 +678,9 @@ class TestServiceIntegration:
                 super().__init__(*args, **kwargs)
                 self.executed = []
 
-            def execute(self, query, max_rows=None, use_cache=True):
+            def execute(self, query, max_rows=None):
                 self.executed.append((to_sql(query), max_rows))
-                return super().execute(query, max_rows=max_rows, use_cache=use_cache)
+                return super().execute(query, max_rows=max_rows)
 
         monkeypatch.setattr(interface, "ExecutorSession", RecordingSession)
         service, _ = make_service(patients_db, sql="SELECT nmae FROM patients")
