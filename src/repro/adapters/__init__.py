@@ -6,29 +6,23 @@ CLI — are written against an engine-neutral seam.  This package is that
 seam:
 
 * :class:`BackendAdapter` — the protocol (connect / execute /
-  introspect / load, plus :class:`Capabilities` flags);
+  introspect / load);
 * :class:`MemoryAdapter` — the in-memory reference engine
   (:mod:`repro.db`) behind the protocol;
 * :class:`SqliteAdapter` — a real engine via the stdlib ``sqlite3``
-  module: DDL + bulk load, deterministic dialect-aware execution, and
-  schema introspection with ``L5xx`` diagnostics;
-* a registry (:func:`create_backend`, :data:`BACKENDS`) so callers
-  select backends by name.
+  module: DDL + bulk load, deterministic execution of compiled SQL,
+  and schema introspection with ``L5xx`` diagnostics.
+
+Callers that take a backend by name (``DBPal(backend=...)``, ``repro db
+explain --backend``) map ``"memory"`` and ``"sqlite"`` to these two
+classes themselves.
 
 The differential test suite (``tests/test_adapters_differential.py``)
 holds every backend to bit-identical normalized results against the
 reference engine.
 """
 
-from repro.adapters.base import (
-    BACKENDS,
-    BackendAdapter,
-    Capabilities,
-    backend_names,
-    create_backend,
-    normalize_rows,
-    register_backend,
-)
+from repro.adapters.base import BackendAdapter, normalize_rows
 from repro.adapters.memory import MemoryAdapter
 from repro.adapters.sqlite3_adapter import (
     SqliteAdapter,
@@ -37,15 +31,10 @@ from repro.adapters.sqlite3_adapter import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BackendAdapter",
-    "Capabilities",
     "MemoryAdapter",
     "SqliteAdapter",
-    "backend_names",
     "compile_select",
-    "create_backend",
     "normalize_rows",
-    "register_backend",
     "split_identifier",
 ]

@@ -2,10 +2,12 @@
 
 DBPal's pluggability claim (paper §1) is that the pipeline only needs a
 schema and an engine to execute against.  This module pins that claim
-down as a small protocol — :class:`BackendAdapter` — with explicit
-capability flags, so every layer that used to assume the in-memory
-engine (:class:`repro.runtime.DBPal`, the equivalence checker, corpus
-synthesis, the CLI) can run against any registered backend.
+down as a small protocol — :class:`BackendAdapter` — so every layer
+that used to assume the in-memory engine (:class:`repro.runtime.DBPal`,
+the equivalence checker, corpus synthesis, the CLI) can run against
+either backend: :class:`~repro.adapters.MemoryAdapter` or
+:class:`~repro.adapters.SqliteAdapter`, which ``DBPal(backend=...)``
+and ``repro db explain --backend`` call ``"memory"`` and ``"sqlite"``.
 
 The contract:
 
@@ -34,43 +36,16 @@ refused before reaching the engine.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.errors import BackendError
 from repro.schema.schema import Schema
 from repro.sql.ast import Query
 
 Row = dict[str, Any]
 
 
-@dataclass(frozen=True)
-class Capabilities:
-    """What a backend can do, as data.
-
-    Callers branch on flags instead of isinstance checks, so a new
-    backend slots in without touching call sites.
-    """
-
-    #: Registry name of the backend ("memory", "sqlite", ...).
-    name: str
-    #: SQL dialect the backend executes (a :mod:`repro.sql.dialects` name).
-    dialect: str
-    #: Whether the database outlives the process (a file on disk).
-    persistent: bool = False
-    #: Whether ``introspect()`` is supported.
-    introspectable: bool = False
-    #: Whether ``execute`` compiles to SQL text for a real engine (as
-    #: opposed to interpreting the AST directly).
-    executes_sql_text: bool = False
-    #: Whether loads are transactional (all-or-nothing on failure).
-    transactional: bool = False
-
-
 class BackendAdapter(abc.ABC):
     """Abstract base for database backends (see module docstring)."""
-
-    capabilities: Capabilities
 
     # -- lifecycle -----------------------------------------------------
 
@@ -130,39 +105,3 @@ def normalize_rows(rows: list[Mapping[str, Any]]) -> list[Row]:
         normalized.append(record)
     return normalized
 
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-#: name -> adapter class.  Populated by :func:`register_backend`.
-BACKENDS: dict[str, type] = {}
-
-
-def register_backend(name: str):
-    """Class decorator registering an adapter under ``name``."""
-
-    def decorate(cls: type) -> type:
-        BACKENDS[name] = cls
-        return cls
-
-    return decorate
-
-
-def backend_names() -> list[str]:
-    return sorted(BACKENDS)
-
-
-def create_backend(name: str, *args, **kwargs) -> BackendAdapter:
-    """Instantiate a registered backend by name.
-
-    Unknown names raise :class:`BackendError` (``E_BACKEND``) naming
-    the registered alternatives.
-    """
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown backend {name!r}; registered: {backend_names()}"
-        ) from None
-    return cls(*args, **kwargs)

@@ -9,13 +9,7 @@ This is also the differential suite's ground-truth arm: its results
 
 from __future__ import annotations
 
-from repro.adapters.base import (
-    BackendAdapter,
-    Capabilities,
-    Row,
-    normalize_rows,
-    register_backend,
-)
+from repro.adapters.base import BackendAdapter, Row, normalize_rows
 from repro.db.planner import ExecutorSession
 from repro.db.storage import Database
 from repro.errors import BackendError
@@ -23,39 +17,25 @@ from repro.schema.schema import Schema
 from repro.sql.ast import Query
 
 
-@register_backend("memory")
 class MemoryAdapter(BackendAdapter):
     """Adapter over the in-memory engine.
 
-    Accepts a populated :class:`~repro.db.storage.Database`, an existing
-    :class:`~repro.db.planner.ExecutorSession` (to share its caches), or
-    a bare :class:`~repro.schema.Schema` (starts empty; ``load`` fills
-    it).
+    Accepts a :class:`~repro.db.storage.Database` (``load`` adds rows
+    to it) or an existing :class:`~repro.db.planner.ExecutorSession`
+    (to share its caches).
     """
 
-    capabilities = Capabilities(
-        name="memory",
-        dialect="default",
-        persistent=False,
-        introspectable=True,
-        executes_sql_text=False,
-        transactional=False,
-    )
-
-    def __init__(self, source: Database | ExecutorSession | Schema) -> None:
+    def __init__(self, source: Database | ExecutorSession) -> None:
         if isinstance(source, ExecutorSession):
             self.session = source
             self.database = source.database
         elif isinstance(source, Database):
             self.database = source
             self.session = ExecutorSession(source)
-        elif isinstance(source, Schema):
-            self.database = Database(source)
-            self.session = ExecutorSession(self.database)
         else:
             raise BackendError(
-                f"MemoryAdapter needs a Database, ExecutorSession, or "
-                f"Schema, not {type(source).__name__}"
+                f"MemoryAdapter needs a Database or an ExecutorSession, "
+                f"not {type(source).__name__}"
             )
 
     # -- lifecycle -----------------------------------------------------

@@ -46,13 +46,7 @@ import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.adapters.base import (
-    BackendAdapter,
-    Capabilities,
-    Row,
-    normalize_rows,
-    register_backend,
-)
+from repro.adapters.base import BackendAdapter, Row, normalize_rows
 from repro.analysis.diagnostics import LintReport, make
 from repro.db.storage import Database, rows_from_values
 from repro.errors import BackendError, DialectError, IntrospectionError
@@ -60,8 +54,7 @@ from repro.schema.column import Column, ColumnType
 from repro.schema.schema import Schema
 from repro.schema.table import ForeignKey, Table
 from repro.sql.ast import Aggregate, ColumnRef, OrderItem, Query, Star
-from repro.sql.dialects import get_dialect
-from repro.sql.printer import SqlPrinter
+from repro.sql.printer import SqlPrinter, quote_identifier
 
 #: Logical column type -> declared sqlite type.  INTEGER is declared
 #: ``INT`` on purpose: a column declared exactly ``INTEGER PRIMARY KEY``
@@ -90,7 +83,7 @@ _COMPATIBLE_TYPEOF = {
 
 
 class ExecutableSqlitePrinter(SqlPrinter):
-    """The sqlite dialect printer with reference-engine NULL semantics.
+    """The SQL printer with reference-engine NULL semantics, for sqlite.
 
     Subqueries render through :meth:`query`, which adds the same
     deterministic ORDER BY tiebreaks when the subquery has a LIMIT (the
@@ -99,7 +92,7 @@ class ExecutableSqlitePrinter(SqlPrinter):
     """
 
     def __init__(self, schema: Schema, extents: dict[str, int]) -> None:
-        super().__init__("sqlite")
+        super().__init__()
         self._schema = schema
         self._extents = extents
 
@@ -227,7 +220,6 @@ def compile_select(
             f"@{placeholders[0].name}; run the post-processor first"
         )
     printer = ExecutableSqlitePrinter(schema, extents)
-    dialect = printer.dialect
     grouped = is_aggregate_query(query)
 
     # SELECT list: (label, expr) pairs exactly mirroring executor labels.
@@ -272,7 +264,7 @@ def compile_select(
     parts = ["SELECT"]
     parts.append(
         ", ".join(
-            f"{expr} AS {dialect.quote_identifier(label)}"
+            f"{expr} AS {quote_identifier(label)}"
             for label, expr in pairs
         )
     )
@@ -324,18 +316,8 @@ def split_identifier(name: str) -> str:
 # ----------------------------------------------------------------------
 
 
-@register_backend("sqlite")
 class SqliteAdapter(BackendAdapter):
     """Backend over a sqlite3 database file (or ``:memory:``)."""
-
-    capabilities = Capabilities(
-        name="sqlite",
-        dialect="sqlite",
-        persistent=True,
-        introspectable=True,
-        executes_sql_text=True,
-        transactional=True,
-    )
 
     def __init__(
         self,
@@ -399,7 +381,6 @@ class SqliteAdapter(BackendAdapter):
         foreign keys — the subset synthetic :mod:`~repro.db.datagen`
         data is guaranteed to satisfy (its text keys may repeat).
         """
-        dialect = get_dialect("sqlite")
         fk_children = {(fk.table, fk.column) for fk in schema.foreign_keys}
         statements = []
         for table in schema.tables:
@@ -417,24 +398,22 @@ class SqliteAdapter(BackendAdapter):
                     and (table.name, c.name) not in fk_children
                 ]
             body = [
-                f"{dialect.quote_identifier(c.name)} {_DECLARED_TYPE[c.ctype]}"
+                f"{quote_identifier(c.name)} {_DECLARED_TYPE[c.ctype]}"
                 for c in table.columns
             ]
             if declared_pk:
-                keys = ", ".join(
-                    dialect.quote_identifier(c.name) for c in declared_pk
-                )
+                keys = ", ".join(quote_identifier(c.name) for c in declared_pk)
                 body.append(f"PRIMARY KEY ({keys})")
             for fk in schema.foreign_keys:
                 if fk.table != table.name:
                     continue
                 body.append(
-                    f"FOREIGN KEY ({dialect.quote_identifier(fk.column)}) "
-                    f"REFERENCES {dialect.quote_identifier(fk.ref_table)} "
-                    f"({dialect.quote_identifier(fk.ref_column)})"
+                    f"FOREIGN KEY ({quote_identifier(fk.column)}) "
+                    f"REFERENCES {quote_identifier(fk.ref_table)} "
+                    f"({quote_identifier(fk.ref_column)})"
                 )
             statements.append(
-                f"CREATE TABLE {dialect.quote_identifier(table.name)} "
+                f"CREATE TABLE {quote_identifier(table.name)} "
                 f"({', '.join(body)})"
             )
         try:
@@ -451,14 +430,13 @@ class SqliteAdapter(BackendAdapter):
         schema = database.schema
         if self._schema is None:
             self.create(schema)
-        dialect = get_dialect("sqlite")
         try:
             with self.connection:
                 for table in schema.tables:
                     names = [c.name for c in table.columns]
                     sql = (
-                        f"INSERT INTO {dialect.quote_identifier(table.name)} "
-                        f"({', '.join(dialect.quote_identifier(n) for n in names)}) "
+                        f"INSERT INTO {quote_identifier(table.name)} "
+                        f"({', '.join(quote_identifier(n) for n in names)}) "
                         f"VALUES ({', '.join('?' for _ in names)})"
                     )
                     rows = [
@@ -482,13 +460,12 @@ class SqliteAdapter(BackendAdapter):
         return self._schema
 
     def _extents(self, tables: tuple[str, ...]) -> dict[str, int]:
-        dialect = get_dialect("sqlite")
         extents: dict[str, int] = {}
         for table in tables:
             if table not in self._extent_cache:
                 try:
                     cursor = self.connection.execute(
-                        f"SELECT MAX(rowid) FROM {dialect.quote_identifier(table)}"
+                        f"SELECT MAX(rowid) FROM {quote_identifier(table)}"
                     )
                 except sqlite3.Error as exc:
                     raise BackendError(
@@ -641,8 +618,7 @@ class SqliteAdapter(BackendAdapter):
     def _introspect_columns(
         self, raw_table: str, table: str, report: LintReport
     ) -> list[Column] | None:
-        dialect = get_dialect("sqlite")
-        quoted = dialect.quote_identifier(raw_table)
+        quoted = quote_identifier(raw_table)
         info = self.connection.execute(
             f"PRAGMA table_info({quoted})"
         ).fetchall()
@@ -744,8 +720,7 @@ class SqliteAdapter(BackendAdapter):
         self, quoted_table: str, raw_column: str, ctype: ColumnType
     ) -> str | None:
         """The first stored ``typeof()`` incompatible with ``ctype``."""
-        dialect = get_dialect("sqlite")
-        quoted = dialect.quote_identifier(raw_column)
+        quoted = quote_identifier(raw_column)
         stored = self.connection.execute(
             f"SELECT DISTINCT typeof({quoted}) FROM {quoted_table} "
             f"WHERE {quoted} IS NOT NULL LIMIT 8"
@@ -762,13 +737,12 @@ class SqliteAdapter(BackendAdapter):
         tables: dict[str, Table],
         report: LintReport,
     ) -> list[ForeignKey]:
-        dialect = get_dialect("sqlite")
         foreign_keys: list[ForeignKey] = []
         for name, raw_name in seen_names.items():
             if name not in tables:
                 continue
             rows = self.connection.execute(
-                f"PRAGMA foreign_key_list({dialect.quote_identifier(raw_name)})"
+                f"PRAGMA foreign_key_list({quote_identifier(raw_name)})"
             ).fetchall()
             groups: dict[int, list[tuple]] = {}
             for row in rows:

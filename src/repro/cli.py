@@ -241,14 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "service (with --replicas: rolling, shard-by-shard, zero "
         "dropped requests)",
     )
-    serve.add_argument(
-        "--repair-budget",
-        type=int,
-        default=-1,
-        metavar="N",
-        help="shorthand for --repair-attempts N: repair/re-lint cycles "
-        "allowed per answer (0 disables the execute-verify-repair loop)",
-    )
     _add_serving_arguments(serve)
 
     bench = sub.add_parser("benchmark", help="evaluate on the Patients benchmark")
@@ -382,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("memory", "sqlite"),
         default="memory",
         help="execution backend: memory (planned reference executor) "
-        "or sqlite (compiled dialect SQL on the sqlite3 adapter)",
+        "or sqlite (compiled SQL on the sqlite3 adapter)",
     )
     return parser
 
@@ -674,10 +666,6 @@ def cmd_serve(args) -> int:
 
     sharded = args.replicas >= 1
     config = _serving_config_from(args)
-    if args.repair_budget >= 0:
-        from dataclasses import replace as dc_replace
-
-        config = dc_replace(config, repair_attempts=args.repair_budget)
     if sharded:
         from repro.serving import ShardSpec, ShardedConfig, ShardedService
 

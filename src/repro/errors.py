@@ -88,10 +88,6 @@ _SERVING_WIRE_CODES = {
     "backend_error": E_BACKEND,
     "worker_died": E_WORKER_DIED,
     "unsupported_dialect": E_DIALECT,
-    "repair_budget": E_REPAIR_BUDGET,
-    "repair_unfixable": E_REPAIR_UNFIXABLE,
-    "repair_oscillation": E_REPAIR_OSCILLATION,
-    "repair_exec": E_REPAIR_EXEC,
 }
 
 
@@ -234,9 +230,8 @@ class IntrospectionError(BackendError):
 class DialectError(SqlError):
     """A query uses a construct the target SQL dialect cannot express.
 
-    Also raised for lookups of unregistered dialects.  Distinct from
-    :class:`BackendError`: the adapter never reached the engine — the
-    emitter refused first.
+    Distinct from :class:`BackendError`: the adapter never reached the
+    engine — the emitter refused first.
     """
 
     code = E_DIALECT

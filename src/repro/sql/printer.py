@@ -1,13 +1,13 @@
-"""Render SQL ASTs back to SQL text, parameterized by dialect.
+"""Render SQL ASTs back to SQL text.
 
 The printer is the single source of truth for SQL surface syntax in the
 reproduction: generated training pairs, model outputs, and benchmark
-gold queries are all rendered through :func:`to_sql` in the ``default``
-dialect, so exact-match comparison over printed text is well-defined.
-Backend adapters (:mod:`repro.adapters`) render through the same
-machinery with a different :class:`~repro.sql.dialects.Dialect` — and
-may subclass :class:`SqlPrinter` to hook emission (e.g. the sqlite
-adapter's NULL-collapsing executable emitter overrides :meth:`atom`).
+gold queries are all rendered through :func:`to_sql`, so exact-match
+comparison over printed text is well-defined.  The sqlite backend
+(:mod:`repro.adapters.sqlite3_adapter`) subclasses :class:`SqlPrinter`
+to hook emission: its executable emitter overrides :meth:`~SqlPrinter.atom`
+to collapse NULL and :meth:`~SqlPrinter.query` to add deterministic
+tiebreaks, and quotes DDL names through :func:`quote_identifier`.
 
 Identifiers that collide with reserved words or contain characters the
 lexer would not read back as a single identifier are double-quoted, so
@@ -16,6 +16,8 @@ catalog's well-behaved names.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.sql.ast import (
     Aggregate,
@@ -36,27 +38,49 @@ from repro.sql.ast import (
     Star,
 )
 from repro.sql.ast import Subquery as SubqueryNode
-from repro.sql.dialects import LIMIT_SUFFIX, LIMIT_TOP, Dialect, get_dialect
+from repro.sql.lexer import KEYWORDS
+
+#: Identifiers matching this render bare; anything else must be quoted.
+_PLAIN_IDENTIFIER = re.compile(r"[a-z_][a-z0-9_]*$")
+
+
+def quote_identifier(name: str) -> str:
+    """Always-quoted form of ``name`` (double quotes doubled inside)."""
+    return '"' + name.replace('"', '""') + '"'
+
+
+def identifier(name: str) -> str:
+    """``name`` bare when unambiguous, quoted when it collides with one
+    of the lexer's keywords or contains characters the lexer would not
+    read back as one identifier."""
+    if name.lower() in KEYWORDS or not _PLAIN_IDENTIFIER.match(name):
+        return quote_identifier(name)
+    return name
+
+
+def string_literal(value: str) -> str:
+    """``value`` as a single-quoted SQL string literal.
+
+    Single quotes are doubled; backslashes are *not* escape characters
+    in standard SQL (nor in sqlite), so they pass through verbatim and
+    round-trip the lexer unchanged.
+    """
+    return "'" + value.replace("'", "''") + "'"
 
 
 class SqlPrinter:
-    """Dialect-aware AST-to-text emitter.
+    """AST-to-text emitter.
 
     Every syntactic construct is a method, so a backend can subclass and
     override just the piece its engine disagrees on.  The instance is
     stateless between calls and safe to reuse.
     """
 
-    def __init__(self, dialect: str | Dialect = "default") -> None:
-        self.dialect = get_dialect(dialect)
-
     # -- queries -------------------------------------------------------
 
     def query(self, query: Query) -> str:
         """Render ``query`` as a single-line SQL string."""
         parts = ["SELECT"]
-        if query.limit is not None and self.dialect.limit_style == LIMIT_TOP:
-            parts.append(f"TOP {query.limit}")
         if query.distinct:
             parts.append("DISTINCT")
         parts.append(", ".join(self.item(i) for i in query.select))
@@ -74,7 +98,7 @@ class SqlPrinter:
         if query.order_by:
             parts.append("ORDER BY")
             parts.append(", ".join(self.order(o) for o in query.order_by))
-        if query.limit is not None and self.dialect.limit_style == LIMIT_SUFFIX:
+        if query.limit is not None:
             parts.append(f"LIMIT {query.limit}")
         return " ".join(parts)
 
@@ -83,23 +107,23 @@ class SqlPrinter:
     def table(self, name: str) -> str:
         if name.startswith("@"):  # the @JOIN FROM placeholder (§5.1)
             return name
-        return self.dialect.identifier(name)
+        return identifier(name)
 
     def column_ref(self, ref: ColumnRef) -> str:
-        column = self.dialect.identifier(ref.column)
+        column = identifier(ref.column)
         if ref.table:
-            return f"{self.dialect.identifier(ref.table)}.{column}"
+            return f"{identifier(ref.table)}.{column}"
         return column
 
     def literal(self, lit: Literal) -> str:
         if isinstance(lit.value, str):
-            return self.dialect.string_literal(lit.value)
+            return string_literal(lit.value)
         return str(lit.value)
 
     def aggregate(self, agg: Aggregate) -> str:
         arg = "*" if isinstance(agg.arg, Star) else self.column_ref(agg.arg)
         inner = ("DISTINCT " if agg.distinct else "") + arg
-        return f"{self.dialect.function(agg.func.value)}({inner})"
+        return f"{agg.func.value}({inner})"
 
     def item(self, item) -> str:
         if isinstance(item, Star):
@@ -180,30 +204,26 @@ class SqlPrinter:
         return f"{expr} DESC" if item.desc else expr
 
 
-#: Shared default-dialect printer; its output is the canonical surface.
-_DEFAULT_PRINTER = SqlPrinter("default")
+#: Shared printer behind :func:`to_sql` and :func:`predicate_to_sql`.
+_PRINTER = SqlPrinter()
 
 
-def to_sql(query: Query, dialect: str | Dialect = "default") -> str:
-    """Render ``query`` as a single-line SQL string in ``dialect``.
+def to_sql(query: Query) -> str:
+    """Render ``query`` as a single-line SQL string.
 
-    The default-dialect text is memoized in the query's ``__dict__``
-    (fields stay frozen), as ``TrainingPair`` memoizes its SQL: one
-    served answer is printed by post-processing, the repair loop and the
-    executor's cache key.  Every AST node is frozen and holds only
-    tuples, so the text cannot go stale; other dialects never read it.
+    The text is memoized in the query's ``__dict__`` (fields stay
+    frozen), as ``TrainingPair`` memoizes its SQL: one served answer is
+    printed by post-processing, the repair loop and the executor's cache
+    key.  Every AST node is frozen and holds only tuples, so the text
+    cannot go stale.  Printer subclasses never read the memo.
     """
-    if dialect == "default":
-        memo = query.__dict__
-        text = memo.get("_default_sql")
-        if text is None:
-            text = memo["_default_sql"] = _DEFAULT_PRINTER.query(query)
-        return text
-    return SqlPrinter(dialect).query(query)
+    memo = query.__dict__
+    text = memo.get("_default_sql")
+    if text is None:
+        text = memo["_default_sql"] = _PRINTER.query(query)
+    return text
 
 
-def predicate_to_sql(pred: Predicate, dialect: str | Dialect = "default") -> str:
+def predicate_to_sql(pred: Predicate) -> str:
     """Render one predicate (used by the planner's EXPLAIN output)."""
-    if dialect == "default":
-        return _DEFAULT_PRINTER.predicate(pred)
-    return SqlPrinter(dialect).predicate(pred)
+    return _PRINTER.predicate(pred)

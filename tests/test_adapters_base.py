@@ -1,5 +1,5 @@
-"""The adapter protocol itself: registry, capabilities, normalization,
-and the seams that consume adapters (DBPal, the equivalence checker).
+"""The adapter protocol itself: lifecycle, sources, normalization, and
+the seams that consume adapters (DBPal, the equivalence checker).
 """
 
 from __future__ import annotations
@@ -7,18 +7,14 @@ from __future__ import annotations
 import pytest
 
 from repro.adapters import (
-    BACKENDS,
     BackendAdapter,
-    Capabilities,
     MemoryAdapter,
     SqliteAdapter,
-    backend_names,
-    create_backend,
     normalize_rows,
 )
-from repro.db import populate
+from repro.db import Database
 from repro.db.planner import ExecutorSession
-from repro.errors import BackendError
+from repro.errors import E_DIALECT, BackendError, DialectError
 from repro.schema import load_schema
 from repro.sql.equivalence import EquivalenceChecker
 from repro.sql.parser import parse
@@ -27,35 +23,8 @@ pytestmark = pytest.mark.adapters
 
 
 # ----------------------------------------------------------------------
-# Registry and capabilities
+# Lifecycle and sources
 # ----------------------------------------------------------------------
-
-
-def test_builtin_backends_registered():
-    assert backend_names() == ["memory", "sqlite"]
-    assert BACKENDS["memory"] is MemoryAdapter
-    assert BACKENDS["sqlite"] is SqliteAdapter
-
-
-def test_create_backend_by_name(patients_db):
-    adapter = create_backend("memory", patients_db)
-    assert isinstance(adapter, MemoryAdapter)
-
-
-def test_unknown_backend_names_alternatives():
-    with pytest.raises(BackendError, match="memory.*sqlite"):
-        create_backend("postgres")
-
-
-def test_capabilities_distinguish_backends(patients_db):
-    memory = MemoryAdapter(patients_db).capabilities
-    sqlite_caps = SqliteAdapter().capabilities
-    assert isinstance(memory, Capabilities)
-    assert memory.dialect == "default"
-    assert not memory.persistent and not memory.executes_sql_text
-    assert sqlite_caps.dialect == "sqlite"
-    assert sqlite_caps.persistent and sqlite_caps.executes_sql_text
-    assert sqlite_caps.transactional
 
 
 def test_adapters_are_context_managers(patients_db):
@@ -80,7 +49,7 @@ def test_memory_adapter_shares_session_caches(patients_db):
 
 
 def test_memory_load_requires_matching_schema(patients_db, geography_db):
-    adapter = MemoryAdapter(load_schema("patients"))
+    adapter = MemoryAdapter(Database(load_schema("patients")))
     with pytest.raises(BackendError, match="cannot load"):
         adapter.load(geography_db)
     adapter.load(patients_db)
@@ -191,3 +160,6 @@ def test_equivalence_checker_uncertifiable_on_adapter_refusal(patients_db):
             "(SELECT DISTINCT age FROM patients ORDER BY age DESC LIMIT 1)"
         )
         assert not checker.equivalent(left, right)
+        with pytest.raises(DialectError) as refused:
+            adapter.execute(left)
+        assert refused.value.code == E_DIALECT

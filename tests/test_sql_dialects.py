@@ -1,9 +1,9 @@
-"""Dialect registry and dialect-aware printing.
+"""Printed SQL surface: identifier quoting and string literals.
 
-Covers the satellite audit of string-literal emission: values with
-single quotes and backslashes, and reserved-word identifiers, must
-survive parse → print → parse, with property tests drawn from the value
-index vocabulary of generated databases.
+Covers the audit of string-literal emission: values with single quotes
+and backslashes, and reserved-word identifiers, must survive parse →
+print → parse, with property tests drawn from the value index
+vocabulary of generated databases.
 """
 
 import pytest
@@ -15,60 +15,14 @@ from hypothesis import strategies as st
 
 from repro.db.datagen import populate
 from repro.db.index import ValueIndex
-from repro.errors import DialectError, E_DIALECT
 from repro.schema.catalog import load_schema
 from repro.sql import parse, to_sql
 from repro.sql.ast import ColumnRef, CompOp, Comparison, Literal, Query, Star
-from repro.sql.dialects import (
-    DIALECTS,
-    LIMIT_TOP,
-    Dialect,
-    get_dialect,
-    register_dialect,
-)
-from repro.sql.printer import SqlPrinter
-
-
-class TestRegistry:
-    def test_builtin_dialects_present(self):
-        assert "default" in DIALECTS
-        assert "sqlite" in DIALECTS
-
-    def test_get_dialect_by_name_and_instance(self):
-        default = get_dialect("default")
-        assert default.name == "default"
-        assert get_dialect(default) is default
-
-    def test_unknown_dialect_is_a_coded_error(self):
-        with pytest.raises(DialectError) as exc:
-            get_dialect("postgres")
-        assert exc.value.code == E_DIALECT
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(DialectError):
-            register_dialect(Dialect(name="default"))
-
-    def test_new_dialect_changes_emission_without_touching_printer(self):
-        tsql = Dialect(name="tsql-test", limit_style=LIMIT_TOP)
-        try:
-            register_dialect(tsql)
-            printed = to_sql(
-                parse("SELECT name FROM patients ORDER BY age DESC LIMIT 3"),
-                dialect="tsql-test",
-            )
-            assert printed == "SELECT TOP 3 name FROM patients ORDER BY age DESC"
-        finally:
-            DIALECTS.pop("tsql-test", None)
-
-    def test_function_spelling_table(self):
-        spelled = Dialect(name="spell-test", function_spellings={"AVG": "MEAN"})
-        printed = SqlPrinter(spelled).query(parse("SELECT AVG(age) FROM t"))
-        assert printed == "SELECT MEAN(age) FROM t"
 
 
 class TestDefaultSurfaceStability:
-    """The default dialect is the repo's exact-match surface: printing
-    the catalog's well-behaved identifiers must not grow quotes."""
+    """Printed SQL is the repo's exact-match surface: printing the
+    catalog's well-behaved identifiers must not grow quotes."""
 
     @pytest.mark.parametrize(
         "sql",
@@ -82,10 +36,6 @@ class TestDefaultSurfaceStability:
     )
     def test_plain_identifiers_stay_bare(self, sql):
         assert to_sql(parse(sql)) == sql
-
-    def test_sqlite_dialect_matches_default_on_plain_queries(self):
-        sql = "SELECT name FROM patients WHERE age > 30 ORDER BY name LIMIT 5"
-        assert to_sql(parse(sql), dialect="sqlite") == to_sql(parse(sql))
 
 
 class TestReservedWordIdentifiers:

@@ -1,12 +1,11 @@
-"""The default-dialect SQL text memoized on each ``Query``.
+"""The SQL text memoized on each ``Query``.
 
-``to_sql(query)`` stores its default-dialect text in the query's
-``__dict__``, so one served answer is printed once although
+``to_sql(query)`` stores its text in the query's ``__dict__``, so one served answer is printed once although
 post-processing, the repair loop and the executor's cache key all ask
 for it.  The memo is sound only while a ``Query`` cannot change after it
 is printed: every AST dataclass must be frozen and hold no list, dict or
 set.  These tests pin that, the memo's text on both benchmark corpora,
-and that other dialects never read it.
+and that the sqlite emitter, the one printer subclass, never reads it.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import typing
 import pytest
 
 import repro.sql.ast as sql_ast
+from repro.adapters import compile_select
+from repro.adapters.sqlite3_adapter import ExecutableSqlitePrinter
 from repro.analysis.equivalence import _ConstantBinder
 from repro.bench import (
     build_patients_benchmark,
@@ -32,15 +33,14 @@ from repro.db import populate
 from repro.runtime.postprocess import PostProcessor, _transform_query
 from repro.schema import patients_schema
 from repro.sql.ast import Query
-from repro.sql.dialects import DIALECTS
 from repro.sql.parser import parse
 from repro.sql.printer import SqlPrinter, to_sql
 
 MEMO = "_default_sql"
 
 
-def _fresh(query: Query, dialect: str = "default") -> str:
-    return SqlPrinter(dialect).query(query)
+def _fresh(query: Query) -> str:
+    return SqlPrinter().query(query)
 
 
 def _nested(query: Query):
@@ -132,16 +132,28 @@ def test_threads_racing_to_print_one_query_agree(corpus):
     assert all(q.__dict__[MEMO] == text for q, text in zip(queries, expected))
 
 
-@pytest.mark.parametrize("dialect", sorted(set(DIALECTS) - {"default"}))
-def test_other_dialects_never_read_the_memo(dialect):
-    query = parse(
-        "SELECT name FROM patients WHERE age > 30 ORDER BY age DESC LIMIT 3"
+def test_the_sqlite_emitter_never_reads_the_memo():
+    # Subqueries with and without a LIMIT take the emitter's two paths.
+    sql = (
+        "SELECT name FROM patients WHERE age > "
+        "(SELECT age FROM patients ORDER BY age LIMIT 1) AND age IN "
+        "(SELECT age FROM patients WHERE age < 60) ORDER BY age DESC LIMIT 3"
     )
-    to_sql(query)
-    query.__dict__[MEMO] = "poisoned"
-    assert to_sql(query, dialect) == _fresh(query, dialect) != "poisoned"
-    assert to_sql(query, DIALECTS[dialect]) == _fresh(query, dialect)
-    assert query.__dict__[MEMO] == "poisoned"
+    schema = patients_schema()
+    extents = {"patients": 40}
+    expected = compile_select(parse(sql), schema, extents).sql
+    printer = ExecutableSqlitePrinter(schema, extents)
+    expected_text = printer.query(parse(sql))
+    query = parse(sql)
+    queries = list(_nested(query))
+    assert len(queries) == 3
+    for sub in queries:
+        to_sql(sub)
+        sub.__dict__[MEMO] = "poisoned"
+    assert compile_select(query, schema, extents).sql == expected
+    assert printer.query(query) == expected_text
+    assert "poisoned" not in expected + expected_text
+    assert all(sub.__dict__[MEMO] == "poisoned" for sub in queries)
 
 
 def _ast_dataclasses():
