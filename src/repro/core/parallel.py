@@ -16,7 +16,8 @@ template's instances.  This module provides that sharded engine:
 * **One runner, inline or supervised.**  Every shard runs through
   :meth:`SynthesisEngine.iter_outcomes`: ``workers=0`` runs the shard
   loop in the calling process (no processes, no pickling);
-  ``workers>0`` runs shards on supervised worker processes, each handed
+  ``workers>0`` runs shards on supervised worker processes (started,
+  watched and reaped through :mod:`repro.core.workers`), each handed
   the immutable engine state once when it is started, so per-task
   messages are a shard index and an attempt number.
 
@@ -41,12 +42,12 @@ the checkpointed writer records it and carries on.
 from __future__ import annotations
 
 import heapq
-import multiprocessing as mp
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as _conn_wait
+from multiprocessing.process import BaseProcess
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro.core.faults import NO_FAULTS, SHARD_KINDS, FaultPlan, fire_shard_faul
 from repro.core.generator import Generator
 from repro.core.seed_templates import SEED_TEMPLATES
 from repro.core.templates import SeedTemplate, TrainingPair, dedupe_pairs
+from repro.core.workers import reap, recv, spawn
 from repro.errors import (
     E_SHARD_CRASH,
     E_SHARD_TIMEOUT,
@@ -222,10 +224,6 @@ class ShardOutcome:
         return self.status == OUTCOME_OK
 
 
-#: How often an idle supervised worker checks that its parent lives.
-_PARENT_CHECK_SECONDS = 1.0
-
-
 def _worker_main(conn: Connection, state: EngineState, faults: FaultPlan) -> None:
     """Supervised worker loop: recv (shard, attempt), send the result.
 
@@ -233,18 +231,13 @@ def _worker_main(conn: Connection, state: EngineState, faults: FaultPlan) -> Non
     injected — is reported over the pipe and the worker stays alive for
     the next task; only process death (KILL faults, real crashes of the
     interpreter) ends the loop, which the parent detects as EOF.  An
-    idle worker whose parent was killed outright exits too: no "stop"
-    comes, and under ``fork`` the workers started after it hold its
-    pipe open, so no EOF comes either.
+    idle worker whose parent was killed outright exits too, through
+    :func:`repro.core.workers.recv`.
     """
     parent = os.getppid()
     try:
         while True:
-            if not conn.poll(_PARENT_CHECK_SECONDS):
-                if os.getppid() != parent:
-                    return
-                continue
-            message = conn.recv()
+            message = recv(conn, parent)
             if message[0] == "stop":
                 return
             _, shard_index, attempt = message
@@ -264,7 +257,7 @@ def _worker_main(conn: Connection, state: EngineState, faults: FaultPlan) -> Non
 class _Worker:
     """Parent-side handle for one supervised worker process."""
 
-    process: mp.process.BaseProcess
+    process: BaseProcess
     conn: Connection
     shard: int | None = None  # currently dispatched shard
     attempt: int = 0
@@ -285,12 +278,7 @@ class _Worker:
         self.deadline = None
 
     def destroy(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-        self.process.join()
-        self.conn.close()
+        reap(self.process, self.conn)
 
 
 class _ShardSupervisor:
@@ -314,7 +302,6 @@ class _ShardSupervisor:
         self._state = state
         self._resilience = resilience
         self._faults = faults
-        self._ctx = mp.get_context()
         self._workers = [self._spawn() for _ in range(workers)]
         # Per-run state, shared by run() and _fail_attempt().
         self._pending: list[tuple[float, int]] = []
@@ -322,15 +309,10 @@ class _ShardSupervisor:
         self._results: dict[int, ShardOutcome] = {}
 
     def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self._state, self._faults),
-            daemon=True,
+        process, conn = spawn(
+            _worker_main, self._state, self._faults, name="repro-synthesis"
         )
-        process.start()
-        child_conn.close()  # parent keeps only its end
-        return _Worker(process=process, conn=parent_conn)
+        return _Worker(process=process, conn=conn)
 
     def _replace(self, worker: _Worker) -> None:
         """Kill ``worker`` and start a fresh one in its place."""

@@ -85,9 +85,7 @@ _SERVING_WIRE_CODES = {
     "timeout": E_TIMEOUT,
     "model_unavailable": E_MODEL_UNAVAILABLE,
     "untranslatable": E_UNTRANSLATABLE,
-    "backend_error": E_BACKEND,
     "worker_died": E_WORKER_DIED,
-    "unsupported_dialect": E_DIALECT,
 }
 
 

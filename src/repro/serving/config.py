@@ -128,9 +128,6 @@ class ShardedConfig:
     replicas:
         Shared-nothing shard processes, each hosting a full
         :class:`~repro.serving.service.TranslationService` replica.
-    vnodes:
-        Virtual nodes per shard on the consistent-hash ring (see
-        :mod:`repro.serving.hashring`).
 
     Supervision
     -----------
@@ -146,51 +143,29 @@ class ShardedConfig:
 
     Flow control
     ------------
-    dispatch_threads:
-        Front-door executor threads running preprocessing before ring
-        routing (preprocessing is CPU-bound Python; these also keep a
-        slow question from stalling the event loop).
     max_inflight_per_shard:
         Outstanding requests allowed per shard pipe before new arrivals
         are shed with ``queue_full`` (mirrors the single-process
         admission queue bound).
-    drain_timeout:
-        Seconds ``stop()`` waits for in-flight requests to finish
-        before shards are terminated anyway.
-    grace:
-        Seconds a stopping shard gets between ``stop`` message and
-        ``terminate()``.
     """
 
     replicas: int = 2
-    vnodes: int = 96
     max_respawns: int = 3
     max_request_attempts: int = 3
     boot_timeout: float = 60.0
-    dispatch_threads: int = 8
     max_inflight_per_shard: int = 512
-    drain_timeout: float = 10.0
-    grace: float = 2.0
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ServingError("replicas must be >= 1")
-        if self.vnodes < 1:
-            raise ServingError("vnodes must be >= 1")
         if self.max_respawns < 0:
             raise ServingError("max_respawns must be >= 0")
         if self.max_request_attempts < 1:
             raise ServingError("max_request_attempts must be >= 1")
         if self.boot_timeout <= 0:
             raise ServingError("boot_timeout must be > 0")
-        if self.dispatch_threads < 1:
-            raise ServingError("dispatch_threads must be >= 1")
         if self.max_inflight_per_shard < 1:
             raise ServingError("max_inflight_per_shard must be >= 1")
-        if self.drain_timeout < 0:
-            raise ServingError("drain_timeout must be >= 0")
-        if self.grace < 0:
-            raise ServingError("grace must be >= 0")
 
     def to_dict(self) -> dict:
         """Plain-dict view (JSON-ready, same field order as declared)."""

@@ -19,9 +19,12 @@ loop thread — callers reach it through ``call_soon_threadsafe``.  The
 dispatch executor runs preprocessing (CPU-bound, and the routing key
 depends on it) off the loop so a slow question never stalls I/O.
 
-Supervision mirrors the synthesis tier's shard supervisor
-(:mod:`repro.core.parallel`): a shard whose pipe hits EOF is declared
-dead, its in-flight requests are **re-dispatched** (each request gets
+Shard processes are started, watched and reaped through
+:mod:`repro.core.workers`, the one worker-process lifecycle the
+synthesis supervisor (:mod:`repro.core.parallel`) uses too; a shard
+whose front door dies exits within a second.  The policy is this
+tier's own: a shard whose pipe hits EOF is declared dead, its
+in-flight requests are **re-dispatched** (each request gets
 ``max_request_attempts`` lives before failing with the stable
 ``worker_died`` code), and the shard is respawned up to
 ``max_respawns`` times before being **quarantined** — removed from the
@@ -39,14 +42,16 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import multiprocessing
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Callable
 
+from repro.core.workers import reap, spawn
 from repro.errors import ServingError
 from repro.serving.config import ServingConfig, ShardedConfig
 from repro.serving.hashring import HashRing
@@ -70,6 +75,13 @@ from repro.serving.shard import ShardSpec, shard_main
 
 #: Seconds between drain-progress checks while stopping.
 _DRAIN_POLL = 0.05
+#: Seconds ``stop()`` waits for accepted requests to finish before it
+#: stops the shards anyway.
+_DRAIN_TIMEOUT = 10.0
+#: Seconds a shard gets to exit after its stop message before it is killed.
+_GRACE = 2.0
+#: Dispatch-executor threads (they preprocess off the event loop).
+_DISPATCH_THREADS = 8
 #: Seconds to wait for a shard's stats reply before reporting without it.
 _STATS_TIMEOUT = 5.0
 
@@ -96,8 +108,8 @@ class _Shard:
     """Loop-thread-owned state of one shard process."""
 
     name: str
-    process: multiprocessing.Process
-    conn: object
+    process: BaseProcess
+    conn: Connection
     pending: dict[int, _Pending] = field(default_factory=dict)
     respawns: int = 0
     quarantined: bool = False
@@ -139,8 +151,7 @@ class ShardedService(ServingTier):
         self._ids = itertools.count(1)
         self._wire_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
-        self._shard_seq = itertools.count(0)
-        self._ring = HashRing(vnodes=self.config.vnodes)
+        self._ring = HashRing()
         self._shards: dict[str, _Shard] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
@@ -178,7 +189,7 @@ class ShardedService(ServingTier):
                 self.nlidb.preprocessor.preprocess
             )
             self._dispatch = ThreadPoolExecutor(
-                max_workers=self.config.dispatch_threads,
+                max_workers=_DISPATCH_THREADS,
                 thread_name_prefix="repro-front-door",
             )
             self._loop = asyncio.new_event_loop()
@@ -189,7 +200,9 @@ class ShardedService(ServingTier):
             )
             self._loop_thread.start()
             self._started = time.monotonic()
-            shards = [self._spawn_shard() for _ in range(self.config.replicas)]
+            shards = [
+                self._spawn_shard(f"shard-{i}") for i in range(self.config.replicas)
+            ]
             self._call(self._register_shards, shards)
             self._running = True
         try:
@@ -204,15 +217,14 @@ class ShardedService(ServingTier):
             raise
         return self
 
-    def stop(self, timeout: float | None = None) -> None:
+    def stop(self) -> None:
         """Drain in-flight requests, then stop every shard and the loop."""
         with self._lifecycle_lock:
             if self._loop is None:
                 return
             self._running = False
-            drain = self.config.drain_timeout if timeout is None else timeout
             self._call(self._set_stopping)
-            deadline = time.monotonic() + drain
+            deadline = time.monotonic() + _DRAIN_TIMEOUT
             while time.monotonic() < deadline:
                 with self._accepted_lock:
                     drained = self._accepted == 0
@@ -220,7 +232,7 @@ class ShardedService(ServingTier):
                     break
                 time.sleep(_DRAIN_POLL)
             self._call(self._send_stop_all)
-            grace_deadline = time.monotonic() + self.config.grace
+            grace_deadline = time.monotonic() + _GRACE
             processes = [s.process for s in self._shards.values()]
             while time.monotonic() < grace_deadline:
                 if not any(p.is_alive() for p in processes):
@@ -504,19 +516,11 @@ class ShardedService(ServingTier):
             return None
         return waiter
 
-    def _spawn_shard(self) -> _Shard:
-        """Fork one shard process (callable from any thread pre-registration)."""
-        name = f"shard-{next(self._shard_seq)}"
-        parent_conn, child_conn = multiprocessing.Pipe()
-        process = multiprocessing.Process(
-            target=shard_main,
-            args=(child_conn, name, self.spec),
-            name=f"repro-{name}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Shard(name=name, process=process, conn=parent_conn)
+    def _spawn_shard(self, name: str, respawns: int = 0) -> _Shard:
+        """Fork one shard process under ring name ``name``; a respawn
+        carries the dead shard's respawn count forward."""
+        process, conn = spawn(shard_main, name, self.spec, name=f"repro-{name}")
+        return _Shard(name=name, process=process, conn=conn, respawns=respawns)
 
     def _register_shards(self, shards: list[_Shard]) -> None:
         for shard in shards:
@@ -576,33 +580,20 @@ class ShardedService(ServingTier):
         if not shard.ready.done():
             # Died before the ready handshake: surface it to start().
             shard.ready.set_result(f"shard {shard.name} process died during boot")
-        try:
-            self._loop.remove_reader(shard.conn.fileno())
-        except (ValueError, OSError):
-            pass
-        try:
-            shard.conn.close()
-        except OSError:
-            pass
-        outstanding = list(shard.pending.values()) + list(redispatch or ())
-        shard.pending.clear()
-        for waiter in shard.waiters.values():
-            if not waiter.done():
-                waiter.set_exception(ServingError(f"shard {shard.name} died"))
-        shard.waiters.clear()
+        outstanding = self._detach(shard, f"shard {shard.name} died")
+        outstanding += redispatch or ()
         if self._stopping:
             for pending in outstanding:
                 self._fail(pending, "worker_died", f"shard {shard.name} died")
             return
         if shard.respawns >= self.config.max_respawns:
             shard.quarantined = True
-            self._shards[shard.name] = shard
             if shard.name in self._ring:
                 self._ring.remove(shard.name)
             self.metrics.increment("supervisor.quarantined")
         else:
             self.metrics.increment("supervisor.respawns")
-            fresh = self._spawn_shard_as(shard.name, shard.respawns + 1)
+            fresh = self._spawn_shard(shard.name, shard.respawns + 1)
             self._shards[shard.name] = fresh
             self._loop.add_reader(
                 fresh.conn.fileno(), self._on_readable, fresh
@@ -621,21 +612,6 @@ class ShardedService(ServingTier):
                 self.metrics.increment("supervisor.redispatched")
                 self._route_and_send(pending)
 
-    def _spawn_shard_as(self, name: str, respawns: int) -> _Shard:
-        """Respawn under an existing ring name, preserving the respawn count."""
-        parent_conn, child_conn = multiprocessing.Pipe()
-        process = multiprocessing.Process(
-            target=shard_main,
-            args=(child_conn, name, self.spec),
-            name=f"repro-{name}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Shard(
-            name=name, process=process, conn=parent_conn, respawns=respawns
-        )
-
     def _send_stop_all(self) -> None:
         for shard in self._shards.values():
             if shard.quarantined or shard.stopped:
@@ -647,24 +623,21 @@ class ShardedService(ServingTier):
 
     def _teardown_shards(self) -> None:
         for shard in self._shards.values():
-            try:
-                self._loop.remove_reader(shard.conn.fileno())
-            except (ValueError, OSError):
-                pass
-            for pending in shard.pending.values():
+            for pending in self._detach(shard, "service stopped"):
                 self._fail(pending, "worker_died", "service stopped")
-            shard.pending.clear()
-            for waiter in shard.waiters.values():
-                if not waiter.done():
-                    waiter.set_exception(ServingError("service stopped"))
-            shard.waiters.clear()
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
-            if shard.process.is_alive():
-                shard.process.terminate()
-            shard.process.join(timeout=2.0)
-            if shard.process.is_alive():
-                shard.process.kill()
-                shard.process.join(timeout=2.0)
+
+    def _detach(self, shard: _Shard, reason: str) -> list[_Pending]:
+        """Loop thread: stop watching ``shard``, reap its process, fail
+        its control waiters with ``reason``; return its in-flight requests."""
+        try:
+            self._loop.remove_reader(shard.conn.fileno())
+        except (ValueError, OSError):
+            pass
+        reap(shard.process, shard.conn)
+        for waiter in shard.waiters.values():
+            if not waiter.done():
+                waiter.set_exception(ServingError(reason))
+        shard.waiters.clear()
+        outstanding = list(shard.pending.values())
+        shard.pending.clear()
+        return outstanding

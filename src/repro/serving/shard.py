@@ -33,19 +33,24 @@ not safe for concurrent writers.
 
 The child ignores ``SIGINT``: on Ctrl-C the whole foreground process
 group receives the signal, and shard shutdown must stay parent-driven
-(``stop`` message, then ``SIGTERM`` after the grace period) so the
+(``stop`` message, then ``SIGKILL`` after the grace period) so the
 drain is orderly.  A shard that dies any other way is detected by the
-parent as EOF on the pipe and respawned.
+parent as EOF on the pipe and respawned.  The shard watches its parent
+in turn: it receives through :func:`repro.core.workers.recv`, so when
+the front door dies without a ``stop`` the shard stops its service and
+exits within a second.
 """
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection
 from typing import Callable
 
+from repro.core.workers import recv
 from repro.runtime.interface import DBPal
 from repro.serving.config import ServingConfig
 
@@ -76,6 +81,7 @@ class ShardSpec:
 def shard_main(conn: Connection, shard_id: str, spec: ShardSpec) -> None:
     """Child-process entry point: serve until ``stop`` or parent death."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
     send_lock = threading.Lock()
 
     def send(message: tuple) -> None:
@@ -119,7 +125,7 @@ def shard_main(conn: Connection, shard_id: str, spec: ShardSpec) -> None:
     try:
         while True:
             try:
-                message = conn.recv()
+                message = recv(conn, parent)
             except (EOFError, OSError):
                 break  # parent died; die with it
             kind = message[0]

@@ -2,7 +2,8 @@
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
 three rules that have each caused real bugs in serving stacks, five
-layering rules, and one rule on code compiled at run time:
+layering rules, one rule on code compiled at run time, and one on
+starting processes:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -43,6 +44,14 @@ layering rules, and one rule on code compiled at run time:
   ``_row_builder`` in ``repro/db/storage.py``, which compiles a row
   constructor whose source comes from an arity alone; labels reach it
   only as arguments.
+* **no ``Process(`` or ``Pipe(`` outside the lifecycle module** — a
+  worker process needs its pipe's child end closed in the parent, a
+  check in the child that its parent still lives, and a kill-and-join
+  on teardown; ``repro/core/workers.py`` does all three for synthesis
+  and serving, and a hand-rolled copy that skips the parent check
+  leaves orphans holding a model when the parent is killed.  The rule
+  matches the call by its name, so ``multiprocessing.Process(...)`` and
+  ``mp.get_context().Pipe()`` are both caught.
 """
 
 from __future__ import annotations
@@ -352,6 +361,33 @@ def test_code_is_compiled_at_run_time_only_by_the_row_builder():
     assert allowed
 
 
+PROCESS_CONSTRUCTORS = ("Process", "Pipe")
+
+#: The one module that may start worker processes and their pipes.
+PROCESS_HOME = "repro/core/workers.py"
+
+
+def _process_constructor(node) -> str | None:
+    """``Process``/``Pipe`` if ``node`` calls one, bare or as an attribute
+    of any object (the ``multiprocessing`` module or a context)."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name if name in PROCESS_CONSTRUCTORS else None
+
+
+def test_processes_are_started_only_by_the_lifecycle_module():
+    def check(node):
+        if name := _process_constructor(node):
+            return f"{name}() — start workers through repro.core.workers.spawn"
+
+    findings = _findings(check)
+    assert [f for f in findings if not f.startswith(f"{PROCESS_HOME}:")] == []
+    # The exemption must still name a module that does start processes.
+    assert any(f.startswith(f"{PROCESS_HOME}:") for f in findings)
+
+
 #: Loaded only by the sharded tier's asyncio front door, never by serving
 #: a question in process.  Not in ``HEAVY_MODULES``: ``front_door.py``
 #: imports asyncio at module level by design.
@@ -520,6 +556,21 @@ class TestLintRulesDetect:
     )
     def test_dynamic_code_rule(self, source, found):
         assert _dynamic_code_calls(source) == found
+
+    @pytest.mark.parametrize(
+        "source, found",
+        [
+            ("import multiprocessing\nmultiprocessing.Process(target=f)\n", "Process"),
+            ("from multiprocessing import Pipe\nPipe()\n", "Pipe"),
+            ("import multiprocessing as mp\nmp.get_context().Pipe(duplex=True)\n", "Pipe"),
+            ("ctx = mp.get_context('fork')\nctx.Process(target=f, daemon=True)\n", "Process"),
+            ("from repro.core.workers import spawn\nspawn(f, name='w')\n", None),
+            ("import multiprocessing\nkind = multiprocessing.Process\n", None),
+        ],
+    )
+    def test_process_constructor_rule(self, source, found):
+        names = [_process_constructor(n) for n in ast.walk(ast.parse(source))]
+        assert next(filter(None, names), None) == found
 
     def test_wall_clock_rule(self):
         tree = ast.parse("import time\nt = time.time()\n")

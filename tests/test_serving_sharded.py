@@ -14,7 +14,8 @@ children.  The acceptance properties under test:
 * rolling checkpoint reload completes with zero failed responses
   while traffic keeps flowing;
 * SIGTERM to ``repro serve --replicas N`` drains every shard and
-  exits 130.
+  exits 130;
+* a SIGKILLed front door leaves no shard process running.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.serving import (
     ShardedService,
     TranslationService,
 )
+from tests.test_core_parallel import _running
 
 pytestmark = pytest.mark.sharded
 
@@ -267,6 +269,52 @@ class TestSupervision:
             sharded.submit("how many patients are there")
 
 
+_ORPHAN_SCRIPT = """
+import sys, time
+from repro.db import populate
+from repro.schema import patients_schema
+from repro.serving import ShardSpec, ShardedConfig, ShardedService
+from tests.test_serving_sharded import _const_replica
+
+database = populate(patients_schema(), rows_per_table=30, seed=3)
+config = ShardedConfig(replicas=int(sys.argv[1]))
+service = ShardedService(ShardSpec(_const_replica, (database,)), config).start()
+service.translate("how many patients are there")
+print(*service.shard_pids().values(), flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_shards_exit_when_their_front_door_is_killed(replicas):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, str(replicas)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={
+            "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}",
+            "PATH": "/usr/bin:/bin",
+        },
+    )
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert len(pids) == replicas
+    deadline = time.monotonic() + 20
+    try:
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 class TestRollingReload:
     def test_rolling_reload_zero_failed_responses(self, patients_db):
         spec = ShardSpec(
@@ -316,14 +364,10 @@ class TestConfigValidation:
         "kwargs",
         [
             {"replicas": 0},
-            {"vnodes": 0},
             {"max_respawns": -1},
             {"max_request_attempts": 0},
             {"boot_timeout": 0.0},
-            {"dispatch_threads": 0},
             {"max_inflight_per_shard": 0},
-            {"drain_timeout": -1.0},
-            {"grace": -0.5},
         ],
     )
     def test_invalid_sharded_config_rejected(self, kwargs):
