@@ -33,8 +33,9 @@ Commands:
   ``L5xx`` introspection diagnostics;
 * ``db explain`` — show the planner's execution plan for a SQL query
   against a populated sample database (``--execute`` also runs it and
-  prints per-stage timings; ``--backend sqlite`` compiles for and runs
-  on the sqlite adapter instead).
+  prints per-stage timings and, when the columnar arm ran, the arm each
+  step took; ``--backend sqlite`` compiles for and runs on the sqlite
+  adapter instead).
 
 ``generate``/``train`` normally name a built-in schema; ``generate
 --introspect path.db`` builds the schema from a live database instead,
@@ -360,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     db_explain.add_argument(
         "--execute",
         action="store_true",
-        help="also run the query, printing rows and per-stage timings",
+        help="also run the query, printing rows, per-stage timings and "
+        "the arm each columnar step took",
     )
     db_explain.add_argument(
         "--columnar",
@@ -563,7 +565,7 @@ def cmd_translate(args) -> int:
         print(f"SQL: {result.sql}")
         if result.ok:
             try:
-                for row in nlidb.query(question, max_rows=args.rows):
+                for row in nlidb.execute(result.query, max_rows=args.rows):
                     print(" ", row)
             except ReproError as exc:
                 print(f"  (execution failed: {exc})")
@@ -855,6 +857,9 @@ def cmd_db(args) -> int:
         print(recorder.format_table(title="executor perf"))
         trace = session.last_columnar_trace
         if trace is not None:
+            print("columnar trace:")
+            for stage, arm, reason in trace.steps:
+                print(f"  {stage}: {arm}" + (f" ({reason})" if reason else ""))
             summary = (
                 f"columnar steps: {trace.vectorized_steps} vectorized, "
                 f"{trace.row_steps} row"

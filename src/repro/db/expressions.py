@@ -95,6 +95,16 @@ def compare(op: CompOp, left: Any, right: Any) -> bool:
     raise ExecutionError(f"unsupported operator {op}")
 
 
+def _eq_matches(value: Any, constant: Any) -> bool:
+    """SQL equality against a non-null constant (NULL never matches).
+
+    Python ``==`` agrees with the executor's ``compare`` here: literal
+    constants are always int/float/str, cross-kind (str vs numeric)
+    comparisons are False both ways, and bools cannot be stored.
+    """
+    return value is not None and value == constant
+
+
 def evaluate_predicate(
     pred: Predicate, row: JoinedRow, subquery_values: SubqueryValues
 ) -> bool:

@@ -52,7 +52,7 @@ from repro.db.executor import (
     make_subquery_resolver,
     validate_query,
 )
-from repro.db.expressions import JoinedRow, evaluate_predicate
+from repro.db.expressions import JoinedRow, _eq_matches, evaluate_predicate
 from repro.db.index import ValueIndex
 from repro.db.storage import Database, Row, rows_from_values
 from repro.db.vectorized import (
@@ -60,12 +60,8 @@ from repro.db.vectorized import (
     ColumnarTrace,
     NotVectorizable,
     execute_columnar,
-    probe_finish,
-    probe_join,
-    probe_scan,
     should_use_columnar,
 )
-from repro.db.vectorized import available as columnar_available
 from repro.errors import ExecutionError
 from repro.perf.instrumentation import PerfRecorder
 from repro.sql.ast import (
@@ -485,16 +481,6 @@ def _run_scan(
     return list(rows)
 
 
-def _eq_matches(value: Any, constant: Any) -> bool:
-    """SQL equality against a non-null constant (NULL never matches).
-
-    Python ``==`` agrees with the executor's ``compare`` here: literal
-    constants are always int/float/str, cross-kind (str vs numeric)
-    comparisons are False both ways, and bools cannot be stored.
-    """
-    return value is not None and value == constant
-
-
 def _hash_join(
     joined: list[JoinedRow], rows: Sequence[Row], step: JoinStep
 ) -> list[JoinedRow]:
@@ -750,13 +736,6 @@ def explain(query: Query, database: Database) -> str:
         )
         return "\n".join(lines)
 
-    annotate = columnar_available()
-
-    def arm_note(reason: str) -> str:
-        if not annotate:
-            return ""
-        return " [vectorized]" if not reason else f" [row: {reason}]"
-
     def scan_line(scan: ScanStep) -> str:
         parts = [
             f"scan {scan.table} "
@@ -769,22 +748,17 @@ def explain(query: Query, database: Database) -> str:
             parts.append(f"filter {rendered}")
         return " ".join(parts)
 
-    lines.append(f"  {scan_line(plan.base)}{arm_note(probe_scan(plan.base, database))}")
+    lines.append(f"  {scan_line(plan.base)}")
     for step in plan.joins:
         if step.is_hash_join:
             conditions = " AND ".join(
                 f"{bound} = {new}" for bound, new in step.keys
             )
-            reason = probe_scan(step.scan, database) or probe_join(step, database)
-            lines.append(
-                f"  hash join: {scan_line(step.scan)} ON {conditions}"
-                f"{arm_note(reason)}"
-            )
+            lines.append(f"  hash join: {scan_line(step.scan)} ON {conditions}")
         else:
             lines.append(
                 f"  cross product: {scan_line(step.scan)} "
                 f"(no join predicate; guarded at {MAX_CROSS_PRODUCT:,} rows)"
-                f"{arm_note(probe_scan(step.scan, database))}"
             )
     if plan.constants:
         rendered = " AND ".join(predicate_to_sql(p) for p in plan.constants)
@@ -809,14 +783,10 @@ def explain(query: Query, database: Database) -> str:
         lines.append(f"  sort by {keys}")
     if plan.query.limit is not None:
         lines.append(f"  limit {plan.query.limit}")
-    if annotate:
-        engaged = should_use_columnar(plan, database, None)
-        finish_reason = probe_finish(plan.query, database)
-        finish = "vectorized" if not finish_reason else f"row ({finish_reason})"
-        status = (
-            "auto: engaged"
-            if engaged
-            else f"auto: below threshold ({COLUMNAR_MIN_ROWS} rows)"
-        )
-        lines.append(f"  columnar {status}; finish {finish}")
+    # Which arm each step takes is known only once it runs: the run's
+    # ColumnarTrace records it (``repro db explain --execute``).
+    if should_use_columnar(plan, database, None):
+        lines.append("  columnar auto: engaged")
+    else:
+        lines.append(f"  columnar auto: below threshold ({COLUMNAR_MIN_ROWS} rows)")
     return "\n".join(lines)

@@ -37,10 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as np
-except ImportError:  # pragma: no cover - baked into the image
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.column import ColumnType
@@ -133,8 +130,6 @@ _KIND_BY_CTYPE = {
 
 def _build_column(values: list[Any], ctype: ColumnType) -> "ColumnData | None":
     """Build one column's array, or ``None`` when not vectorizable."""
-    if np is None:
-        return None
     null_flags = [v is None for v in values]
     any_nulls = any(null_flags)
     nulls = np.array(null_flags, dtype=bool) if any_nulls else None

@@ -40,21 +40,21 @@ Every step degrades independently: a column that did not vectorize
 :func:`repro.db.storage._build_column`), an unsupported expression, or
 an exactness guard trips a per-step fallback to the row-at-a-time code
 over the *same index representation*, and the final projection can fall
-back to the shared :func:`~repro.db.executor.finish_rows`.  Fallback
-decisions are recorded on a :class:`ColumnarTrace` surfaced through
-``repro db explain`` and :meth:`ExecutorSession.stats`.
+back to the shared :func:`~repro.db.executor.finish_rows`.  The kernels
+are the only authority on these decisions: each step records the arm it
+took, and why, on a :class:`ColumnarTrace` as it runs.  ``repro db
+explain --execute`` prints that trace step by step and
+:meth:`ExecutorSession.stats` totals it; nothing predicts an arm
+before the run.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-try:  # pragma: no cover - numpy is baked into the image
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.db.executor import (
     MAX_CROSS_PRODUCT,
@@ -64,6 +64,7 @@ from repro.db.executor import (
     finish_rows,
 )
 from repro.db.expressions import (
+    _eq_matches,
     _like_match,
     compare,
     evaluate_operand,
@@ -113,11 +114,6 @@ _SUM_OVERFLOW_BOUND = 2**62
 _CUMSUM_MIN = 64
 
 
-def available() -> bool:
-    """Whether the columnar arm can run at all (numpy importable)."""
-    return np is not None
-
-
 class NotVectorizable(Exception):
     """Internal control flow: this step must use the row path."""
 
@@ -156,7 +152,7 @@ def should_use_columnar(
     plan, database: Database, setting: bool | None
 ) -> bool:
     """The cost gate: forced on/off, or auto by largest-table size."""
-    if np is None or plan.base is None:
+    if plan.base is None:
         return False
     if setting is not None:
         return bool(setting)
@@ -541,10 +537,6 @@ def predicate_mask(pred: Predicate, ctx, subquery_values) -> Any:
 # ----------------------------------------------------------------------
 # Scan
 # ----------------------------------------------------------------------
-
-
-def _eq_matches(value: Any, constant: Any) -> bool:
-    return value is not None and value == constant
 
 
 def scan_indices(
@@ -1491,160 +1483,3 @@ def execute_columnar(
     return columnar_finish(
         plan.query, frame, database, subquery_values, max_rows, recorder, trace
     )
-
-
-# ----------------------------------------------------------------------
-# Static eligibility probes (EXPLAIN support; no data touched beyond
-# dtype inspection, no subqueries executed)
-# ----------------------------------------------------------------------
-
-
-def _probe_operand(operand, ctx) -> None:
-    if isinstance(operand, (Literal, Subquery)):
-        return
-    if isinstance(operand, ColumnRef):
-        _ref_vec(operand, ctx)
-        return
-    raise NotVectorizable(f"non-vectorizable operand {operand!r}")
-
-
-def _probe_predicate(pred: Predicate, ctx) -> None:
-    """Static mirror of :func:`predicate_mask`'s refusal conditions
-    (kind/exactness guards that depend on runtime constants excluded)."""
-    if isinstance(pred, Comparison):
-        _probe_operand(pred.left, ctx)
-        _probe_operand(pred.right, ctx)
-        return
-    if isinstance(pred, Between):
-        _probe_operand(pred.column, ctx)
-        _probe_operand(pred.low, ctx)
-        _probe_operand(pred.high, ctx)
-        return
-    if isinstance(pred, InPredicate):
-        _ref_vec(pred.column, ctx)
-        if pred.subquery is None:
-            for value in pred.values:
-                if not isinstance(value, (Literal, Subquery)):
-                    raise NotVectorizable("non-constant IN list member")
-        return
-    if isinstance(pred, Like):
-        vec = _ref_vec(pred.column, ctx)
-        if vec.kind != "str":
-            raise NotVectorizable("LIKE over non-text column")
-        if not isinstance(pred.pattern, (Literal, Subquery)):
-            raise NotVectorizable("non-constant LIKE pattern")
-        return
-    if isinstance(pred, Exists):
-        return
-    if isinstance(pred, Not):
-        if _contains_subquery(pred.operand):
-            raise NotVectorizable("subquery under NOT")
-        _probe_predicate(pred.operand, ctx)
-        return
-    if isinstance(pred, (And, Or)):
-        if any(_contains_subquery(p) for p in pred.operands):
-            raise NotVectorizable("subquery under AND/OR")
-        for p in pred.operands:
-            _probe_predicate(p, ctx)
-        return
-    raise NotVectorizable(f"unsupported predicate {type(pred).__name__}")
-
-
-def probe_scan(scan, database: Database) -> str:
-    """"" when the scan vectorizes, else the first fallback reason."""
-    if np is None:
-        return "numpy unavailable"
-    try:
-        store = database.column_store(scan.table)
-        ctx = _TableContext(database, scan.table)
-        for column, _constant in scan.eq_lookups:
-            if store.column(column) is None:
-                return f"column {scan.table}.{column} not vectorizable"
-        for pred in scan.filters:
-            _probe_predicate(pred, ctx)
-    except NotVectorizable as exc:
-        return exc.reason
-    return ""
-
-
-def probe_join(step, database: Database) -> str:
-    if np is None:
-        return "numpy unavailable"
-    if not step.is_hash_join:
-        return ""
-    for bound_ref, new_ref in step.keys:
-        for table, column in (
-            (step.scan.table, new_ref.column),
-            (bound_ref.table, bound_ref.column),
-        ):
-            if database.column_store(table).column(column) is None:
-                return f"column {table}.{column} not vectorizable"
-    return ""
-
-
-def probe_finish(query: Query, database: Database) -> str:
-    """Static eligibility of the vectorized finish for EXPLAIN."""
-    if np is None:
-        return "numpy unavailable"
-    ctx_tables = query.from_tables
-    columns_by_table = {
-        t: set(database.schema.table(t).column_names) for t in ctx_tables
-    }
-
-    class _Probe:
-        tables = ctx_tables
-
-        def __init__(self) -> None:
-            self.columns_by_table = columns_by_table
-
-        def vec(self, table: str, column: str) -> _Vec:
-            data = database.column_store(table).column(column)
-            if data is None:
-                raise NotVectorizable(
-                    f"column {table}.{column} not vectorizable"
-                )
-            return _Vec(data.values, data.nulls, data.kind, data.exact, data.float_safe)
-
-    ctx = _Probe()
-    has_aggregates = bool(query.aggregates()) or any(
-        isinstance(i, Aggregate) for i in query.select
-    )
-    try:
-        if query.group_by or has_aggregates:
-            for ref in query.group_by:
-                if not _ref_vec(ref, ctx).exact:
-                    raise NotVectorizable("group key over inexact column")
-            for node in _collect_aggregates(query):
-                if isinstance(node.arg, ColumnRef):
-                    vec = _ref_vec(node.arg, ctx)
-                    if node.func in (AggFunc.SUM, AggFunc.AVG):
-                        if vec.kind == "str":
-                            raise NotVectorizable("SUM/AVG over text column")
-                        if vec.kind == "float" and node.distinct:
-                            raise NotVectorizable(
-                                "SUM/AVG DISTINCT over floats is order-dependent"
-                            )
-            for item in query.select:
-                if isinstance(item, Star):
-                    raise NotVectorizable("SELECT * with GROUP BY")
-            if query.having is not None:
-                _validate_having(query.having)
-        else:
-            for item in query.select:
-                if isinstance(item, ColumnRef):
-                    if not _ref_vec(item, ctx).exact:
-                        raise NotVectorizable("projection over inexact column")
-                elif isinstance(item, Star):
-                    for table in ctx_tables:
-                        for column in database.schema.table(table).column_names:
-                            if not ctx.vec(table, column).exact:
-                                raise NotVectorizable(
-                                    "projection over inexact column"
-                                )
-            for order_item in query.order_by:
-                if not isinstance(order_item.expr, ColumnRef):
-                    raise NotVectorizable("non-column ORDER BY in plain query")
-                _ref_vec(order_item.expr, ctx)
-    except NotVectorizable as exc:
-        return exc.reason
-    return ""

@@ -86,13 +86,6 @@ class StageStats:
             return 0.0
         return self.items / self.seconds
 
-    @property
-    def seconds_per_call(self) -> float:
-        """Mean wall-clock per recorded call; 0.0 before any call."""
-        if self.calls <= 0:
-            return 0.0
-        return self.seconds / self.calls
-
 
 @dataclass
 class PerfRecorder:
@@ -125,10 +118,6 @@ class PerfRecorder:
             end = time.perf_counter()
         stats.observe_span(end - max(0.0, seconds), end)
 
-    def count(self, stage: str, items: int) -> None:
-        """Add items to a stage without adding time (e.g. merged pairs)."""
-        self._stats(stage).items += items
-
     @contextmanager
     def stage(self, name: str):
         """Time a ``with`` block as one call of stage ``name``.
@@ -160,13 +149,6 @@ class PerfRecorder:
             mine.items += stats.items
             if stats.first_start is not None and stats.last_end is not None:
                 mine.observe_span(stats.first_start, stats.last_end)
-
-    def seconds(self, stage: str) -> float:
-        return self.stages[stage].seconds if stage in self.stages else 0.0
-
-    def throughput(self, stage: str) -> float:
-        """Items/sec for one stage (0.0 if unmeasured, idle, or timeless)."""
-        return self.stages[stage].items_per_second if stage in self.stages else 0.0
 
     def report(self) -> dict[str, dict[str, float]]:
         """Plain-dict snapshot (JSON-ready, for BENCH files and logs)."""

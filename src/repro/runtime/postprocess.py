@@ -23,17 +23,8 @@ from functools import lru_cache
 from repro.errors import SchemaError
 from repro.runtime.parameter_handler import Binding
 from repro.schema.schema import Schema
-from repro.sql.ast import (
-    ColumnRef,
-    CompOp,
-    Comparison,
-    Literal,
-    Placeholder,
-    Predicate,
-    Query,
-    conjoin,
-)
-from repro.sql.edits import map_placeholders
+from repro.sql.ast import Literal, Placeholder, Query
+from repro.sql.edits import close_joins, map_placeholders
 from repro.sql.parser import try_parse
 from repro.sql.printer import to_sql
 
@@ -111,7 +102,7 @@ class PostProcessor:
                 referenced.append(table)
         if not referenced:
             raise SchemaError("cannot expand @JOIN: no table-qualified columns")
-        return self._join_and_conditions(query, referenced)
+        return close_joins(query, self.schema, referenced)
 
     # ------------------------------------------------------------------
     # FROM-clause repair (§4.2)
@@ -140,23 +131,7 @@ class PostProcessor:
             return query
         if len(needed) == 1:
             return dc_replace(query, from_tables=(needed[0],))
-        return self._join_and_conditions(query, needed)
-
-    def _join_and_conditions(self, query: Query, tables: list[str]) -> Query:
-        """FROM = join closure of ``tables``; WHERE += FK conditions."""
-        all_tables = self.schema.join_tables(tables)
-        conditions: list[Predicate] = [
-            Comparison(
-                ColumnRef(fk.column, table=fk.table),
-                CompOp.EQ,
-                ColumnRef(fk.ref_column, table=fk.ref_table),
-            )
-            for fk in self.schema.join_path(all_tables)
-        ]
-        where = conjoin(
-            ([query.where] if query.where is not None else []) + conditions
-        )
-        return dc_replace(query, from_tables=tuple(all_tables), where=where)
+        return close_joins(query, self.schema, needed)
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,7 @@ from repro.sql.ast import (
 )
 from repro.sql.edits import (
     add_group_by,
-    map_column_refs,
+    close_joins,
     map_placeholders,
     move_aggregate_conjuncts_to_having,
     move_having_to_where,
@@ -460,21 +460,9 @@ class QueryRepairer:
             return query
         wanted = [t for t in query.from_tables if t in self.schema] + [table]
         try:
-            closure = self.schema.join_tables(wanted)
+            return close_joins(query, self.schema, wanted)
         except SchemaError:
             return query
-        conditions: list[Predicate] = [
-            Comparison(
-                ColumnRef(fk.column, table=fk.table),
-                CompOp.EQ,
-                ColumnRef(fk.ref_column, table=fk.ref_table),
-            )
-            for fk in self.schema.join_path(closure)
-        ]
-        where = conjoin(conjuncts(query.where) + conditions)
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(query, from_tables=tuple(closure), where=where)
 
     # -- proposal -------------------------------------------------------
 
@@ -707,29 +695,20 @@ class QueryRepairer:
         if not needed:
             return None
         try:
-            closure = self.schema.join_tables(needed)
+            repaired = close_joins(query, self.schema, needed)
         except SchemaError:
             return None
-        conditions: list[Predicate] = [
-            Comparison(
-                ColumnRef(fk.column, table=fk.table),
-                CompOp.EQ,
-                ColumnRef(fk.ref_column, table=fk.ref_table),
-            )
-            for fk in self.schema.join_path(closure)
-        ]
+        # The closure's own FK equalities never name a table outside it,
+        # so dropping foreign conditions afterwards keeps all of them.
+        closure = repaired.from_tables
         kept = [
             c
-            for c in conjuncts(query.where)
+            for c in conjuncts(repaired.where)
             if not self._is_foreign_join_condition(c, set(closure))
         ]
         from dataclasses import replace as dc_replace
 
-        repaired = dc_replace(
-            query,
-            from_tables=tuple(closure),
-            where=conjoin(kept + conditions),
-        )
+        repaired = dc_replace(repaired, where=conjoin(kept))
         if repaired == query:
             return None
         return (

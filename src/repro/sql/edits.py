@@ -15,13 +15,14 @@ recursively through subqueries unless documented otherwise.
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.sql.ast import (
     Aggregate,
     And,
     Between,
     ColumnRef,
+    CompOp,
     Comparison,
     Exists,
     InPredicate,
@@ -37,6 +38,9 @@ from repro.sql.ast import (
     conjoin,
     conjuncts,
 )
+
+if TYPE_CHECKING:
+    from repro.schema.schema import Schema
 
 #: Rewrites one column reference (return the input to leave it alone).
 RefFn = Callable[[ColumnRef], ColumnRef]
@@ -217,6 +221,28 @@ def qualify_column(query: Query, column: str, table: str) -> Query:
 def set_from(query: Query, tables: tuple[str, ...]) -> Query:
     """Replace the FROM clause (this level only, no recursion)."""
     return dc_replace(query, from_tables=tables)
+
+
+def close_joins(query: Query, schema: "Schema", tables: Sequence[str]) -> Query:
+    """FROM = the join closure of ``tables``; WHERE += the foreign-key
+    equalities along its join path (this level only).
+
+    ``schema.join_tables`` adds the intermediate tables the shortest
+    join path needs and ``schema.join_path`` names its edges; a
+    :class:`~repro.errors.SchemaError` when the tables do not connect
+    is the caller's to handle.
+    """
+    closure = schema.join_tables(tables)
+    conditions: list[Predicate] = [
+        Comparison(
+            ColumnRef(fk.column, table=fk.table),
+            CompOp.EQ,
+            ColumnRef(fk.ref_column, table=fk.ref_table),
+        )
+        for fk in schema.join_path(closure)
+    ]
+    where = conjoin(conjuncts(query.where) + conditions)
+    return dc_replace(query, from_tables=tuple(closure), where=where)
 
 
 # ----------------------------------------------------------------------

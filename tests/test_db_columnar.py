@@ -17,13 +17,8 @@ import pytest
 
 from repro.db import COLUMNAR_MIN_ROWS, Database
 from repro.db.planner import ExecutorSession, execute_planned, explain
-from repro.db.vectorized import available as columnar_available
 from repro.schema import Schema, Table, floating, integer, text
 from repro.sql.parser import parse
-
-pytestmark = pytest.mark.skipif(
-    not columnar_available(), reason="numpy not installed"
-)
 
 
 def make_db() -> Database:
@@ -238,20 +233,25 @@ class TestModeAndExplain:
         assert session.stats()["columnar"]["mode"] == "off"
 
     def test_explain_annotates_arms(self):
+        """A vectorizable join runs every step vectorized, as its trace
+        records; the plan itself claims no arm."""
         db = self.big_db()
         db.insert_many(
             "u", ({"a": i, "label": f"l{i}"} for i in range(4))
         )
-        plan = explain(
-            parse(
-                "SELECT t.a, u.label FROM t, u "
-                "WHERE t.d = u.a AND t.b = 'b1'"
-            ),
-            db,
+        query = parse(
+            "SELECT t.a, u.label FROM t, u WHERE t.d = u.a AND t.b = 'b1'"
         )
-        assert "[vectorized]" in plan
-        assert "columnar auto: engaged" in plan
-        assert "finish vectorized" in plan
+        plan = explain(query, db)
+        assert "[vectorized]" not in plan
+        assert plan.splitlines()[-1] == "  columnar auto: engaged"
+        session = ExecutorSession(db)  # auto, above threshold
+        session.execute(query)
+        assert session.last_columnar_trace.steps == [
+            ("scan", "vectorized", ""),
+            ("join", "vectorized", ""),
+            ("finish", "vectorized", ""),
+        ]
 
     def test_explain_annotates_row_fallback(self):
         db = self.big_db()
@@ -260,8 +260,60 @@ class TestModeAndExplain:
             "t",
             {"a": -1, "b": 5, "c": 0.0, "d": 0},  # int in TEXT column
         )
-        plan = explain(parse("SELECT a FROM t WHERE b = 'b1'"), db)
-        assert "[row: " in plan
+        query = parse("SELECT a FROM t WHERE b = 'b1'")
+        assert "[row: " not in explain(query, db)
+        session = ExecutorSession(db)
+        session.execute(query)
+        assert session.last_columnar_trace.steps[0] == ("scan", "row", "column t.b")
+
+    @pytest.mark.parametrize(
+        "sql, reason",
+        [
+            (
+                "SELECT a FROM t WHERE a = 9223372036854775000",
+                "integer constant out of int64 range",
+            ),
+            (
+                "SELECT a FROM t WHERE c = 90071992547409930",
+                "int constant not exact as float64",
+            ),
+        ],
+    )
+    def test_explain_claims_no_arm_the_run_did_not_take(self, sql, reason):
+        """The column vectorizes but the constant does not: only the run
+        can tell, and its trace is the one record of the arm taken."""
+        db = self.big_db()
+        query = parse(sql)
+        plan = explain(query, db)
+        assert "[vectorized]" not in plan and "[row:" not in plan
+        session = assert_columnar_identical(db, sql)
+        assert session.last_columnar_trace.steps[0] == ("scan", "row", reason)
+
+    def test_cli_execute_prints_the_arm_each_step_took(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "db",
+                "explain",
+                "patients",
+                "SELECT name FROM patients WHERE age = 9223372036854775000",
+                "--rows-per-table",
+                str(COLUMNAR_MIN_ROWS),
+                "--execute",
+                "--columnar",
+                "on",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any("[vectorized]" in line for line in lines)
+        steps = lines[lines.index("columnar trace:") + 1 :]
+        assert steps[:2] == [
+            "  scan: row (integer constant out of int64 range)",
+            "  finish: vectorized",
+        ]
+        assert steps[2].startswith("columnar steps: 1 vectorized, 1 row")
 
     def test_explain_below_threshold(self):
         db = make_db()

@@ -281,11 +281,8 @@ class TestStageStatsZeroGuards:
 
         stats = StageStats()
         assert stats.items_per_second == 0.0
-        assert stats.seconds_per_call == 0.0
         recorder = PerfRecorder()
-        recorder.count("idle", 0)  # items without any time
-        assert recorder.throughput("idle") == 0.0
-        assert recorder.throughput("never-recorded") == 0.0
+        recorder.add("idle", 0.0)  # a call without time or items
         report = recorder.report()
         assert report["idle"]["items_per_second"] == 0.0
 
@@ -300,14 +297,13 @@ class TestStageStatsZeroGuards:
 
         stats = StageStats(seconds=2.0, calls=4, items=0)
         assert stats.items_per_second == 0.0
-        assert stats.seconds_per_call == 0.5
 
     def test_format_table_on_idle_recorder(self):
         from repro.perf import PerfRecorder
 
         recorder = PerfRecorder()
         assert recorder.format_table()  # no stages: header only, no crash
-        recorder.count("merge", 0)
+        recorder.add("merge", 0.0)
         assert "merge" in recorder.format_table()
 
 
@@ -328,12 +324,11 @@ class TestPerfRecorderStageLookup:
         recorder = PerfRecorder()
         for _ in range(50):
             recorder.add("postprocess", 0.001, items=1)
-        recorder.count("postprocess", 2)
         with recorder.stage("postprocess"):
             pass
         assert len(built) == 1
         stats = recorder.report()["postprocess"]
-        assert (stats["calls"], stats["items"]) == (51, 52)
+        assert (stats["calls"], stats["items"]) == (51, 50)
 
     def test_add_with_an_end_brackets_the_real_span(self):
         from repro.perf import PerfRecorder

@@ -2,8 +2,8 @@
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
 three rules that have each caused real bugs in serving stacks, five
-layering rules, one rule on code compiled at run time, and one on
-starting processes:
+layering rules, one rule on code compiled at run time, one on
+starting processes, and one on imports:
 
 * **no bare ``except:``** — swallows ``KeyboardInterrupt`` and
   ``SystemExit``; catch ``Exception`` (with a justification comment)
@@ -52,6 +52,10 @@ starting processes:
   leaves orphans holding a model when the parent is killed.  The rule
   matches the call by its name, so ``multiprocessing.Process(...)`` and
   ``mp.get_context().Pipe()`` are both caught.
+* **no ``except ImportError``** — every dependency the package imports
+  is declared, and none is optional, so a fallback for a missing module
+  is a branch that cannot run and that no test reaches.  A declared
+  dependency is imported plainly.
 """
 
 from __future__ import annotations
@@ -100,6 +104,30 @@ def test_no_bare_except():
     def check(node):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             return "bare `except:` — name the exception class"
+
+    assert _findings(check) == []
+
+
+IMPORT_ERRORS = ("ImportError", "ModuleNotFoundError")
+
+
+def _catches_import_error(node) -> bool:
+    """Whether ``node`` is an ``except`` clause naming an import error,
+    alone or in a tuple, bare or as ``builtins.<name>``."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(
+        (t.id if isinstance(t, ast.Name) else getattr(t, "attr", None))
+        in IMPORT_ERRORS
+        for t in types
+    )
+
+
+def test_no_import_fallbacks():
+    def check(node):
+        if _catches_import_error(node):
+            return "`except ImportError` — import a declared dependency plainly"
 
     assert _findings(check) == []
 
@@ -445,6 +473,22 @@ class TestLintRulesDetect:
             if isinstance(n, ast.ExceptHandler)
         ]
         assert (handlers[0].type is None) is bad
+
+    @pytest.mark.parametrize(
+        "source, bad",
+        [
+            ("try:\n    import numpy as np\nexcept ImportError:\n    np = None\n", True),
+            ("try:\n    import x\nexcept ModuleNotFoundError:\n    pass\n", True),
+            ("try:\n    import x\nexcept (ValueError, ImportError):\n    pass\n", True),
+            ("try:\n    import x\nexcept builtins.ImportError:\n    pass\n", True),
+            ("try:\n    f()\nexcept ValueError:\n    pass\n", False),
+            ("try:\n    f()\nexcept Exception:\n    pass\n", False),
+            ("try:\n    f()\nexcept:\n    pass\n", False),
+        ],
+    )
+    def test_import_fallback_rule(self, source, bad):
+        nodes = ast.walk(ast.parse(source))
+        assert any(_catches_import_error(n) for n in nodes) is bad
 
     def test_mutable_default_rule(self):
         tree = ast.parse("def f(x=[]):\n    pass\n")
