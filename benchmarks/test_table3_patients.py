@@ -16,25 +16,20 @@ missing/mixed categories stay the hardest.
 
 from __future__ import annotations
 
+from repro.analysis.equivalence import EquivalenceOracle
 from repro.bench.patients import CATEGORIES
-from repro.db import populate
 from repro.eval import evaluate, format_table
 from repro.schema import patients_schema
-from repro.sql import EquivalenceChecker
 
 
-def _checker():
-    databases = [
-        populate(patients_schema(), rows_per_table=25, seed=seed)
-        for seed in (3, 11)
-    ]
-    return EquivalenceChecker(databases)
+def _oracle():
+    return EquivalenceOracle(patients_schema(), seeds=(3, 11), rows_per_table=25)
 
 
-def _evaluate_all(models, workload, schemas_map, checker):
+def _evaluate_all(models, workload, schemas_map, oracle):
     return {
         name: evaluate(
-            model, workload, metric="semantic", checker=checker, schemas=schemas_map
+            model, workload, metric="semantic", oracle=oracle, schemas=schemas_map
         )
         for name, model in models.items()
     }
@@ -53,10 +48,10 @@ def test_table3_patients(
         "DBPal (Train)": dbpal_train_model,
         "DBPal (Full)": dbpal_full_patients_model,
     }
-    checker = _checker()
+    oracle = _oracle()
     results = benchmark.pedantic(
         _evaluate_all,
-        args=(models, patients_workload, schemas_map, checker),
+        args=(models, patients_workload, schemas_map, oracle),
         rounds=1,
         iterations=1,
     )

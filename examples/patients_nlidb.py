@@ -8,13 +8,12 @@ style per-category breakdown plus a few example translations.
 Run:  python examples/patients_nlidb.py
 """
 
+from repro.analysis import EquivalenceOracle
 from repro.bench import build_patients_benchmark
 from repro.core import GenerationConfig, TrainingPipeline
-from repro.db import populate
 from repro.eval import evaluate, format_table
 from repro.neural import CrossDomainModel, SyntaxAwareModel
 from repro.schema import patients_schema
-from repro.sql import EquivalenceChecker
 
 
 def main() -> None:
@@ -38,15 +37,14 @@ def main() -> None:
     print("training ...")
     model.fit(corpus.pairs)
 
-    # Semantic-equivalence evaluation, as the benchmark specifies.
-    checker = EquivalenceChecker(
-        [populate(schema, rows_per_table=25, seed=s) for s in (3, 11)]
-    )
+    # Semantic-equivalence evaluation, as the benchmark specifies: the
+    # oracle's probe databases (seeds 3 and 11) supply execution evidence.
+    oracle = EquivalenceOracle(schema, seeds=(3, 11))
     result = evaluate(
         model,
         workload,
         metric="semantic",
-        checker=checker,
+        oracle=oracle,
         schemas={schema.name: schema},
     )
 

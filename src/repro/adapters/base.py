@@ -4,7 +4,7 @@ DBPal's pluggability claim (paper §1) is that the pipeline only needs a
 schema and an engine to execute against.  This module pins that claim
 down as a small protocol — :class:`BackendAdapter` — so every layer
 that used to assume the in-memory engine (:class:`repro.runtime.DBPal`,
-the equivalence checker, corpus synthesis, the CLI) can run against
+the serving repair loop, corpus synthesis, the CLI) can run against
 either backend: :class:`~repro.adapters.MemoryAdapter` or
 :class:`~repro.adapters.SqliteAdapter`, which ``DBPal(backend=...)``
 and ``repro db explain --backend`` call ``"memory"`` and ``"sqlite"``.

@@ -29,24 +29,43 @@ reasoning, not just its verdict:
   constant, blocking differential execution.
 
 Differential probes reuse the PR 3/6/7 machinery: databases come from
-:func:`repro.db.populate` at fixed seeds, rows come from
-:meth:`repro.sql.equivalence.EquivalenceChecker.probe` (one cached
-planned :class:`~repro.db.planner.ExecutorSession` per probe database,
-the same loop the Patients checker uses), and placeholders are bound to
+:func:`repro.db.populate` at fixed seeds, each probe database gets one
+cached planned :class:`~repro.db.planner.ExecutorSession` (all sharing
+one :class:`~repro.perf.PerfRecorder`), and placeholders are bound to
 constants that actually occur in the probe database (the same binding
-rule as the executor differential suite), so both queries see identical
-constants for identically-named slots.
+rule as the executor differential suite), so both queries see
+identical constants for identically-named slots.
+
+:meth:`EquivalenceOracle.probe` is the package's one loop that runs two
+queries on the same probe databases.  :meth:`~EquivalenceOracle.check`
+reads it with bound pairs; the Patients metric,
+:func:`repro.eval.metrics.semantic_match`, reads it with the queries as
+written and applies its own, looser acceptance rule.
+
+Probe rows are compared exactly, as multisets (in order only when both
+queries order their output), and not through
+:func:`repro.adapters.normalize_rows`'s rounding to 12 significant
+digits.  That rounding absorbs float noise *between engines*; every
+probe here runs on the one reference engine, so there is no such noise
+to absorb, and Table 3's semantic-equivalence accuracy is defined on
+exact rows: rounding could turn a counterexample that differs in the
+13th digit into agreement.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.analysis.diagnostics import Diagnostic, FixHint, LintReport, make
+from repro.db.datagen import populate
+from repro.db.planner import ExecutorSession
+from repro.errors import ReproError
+from repro.perf.instrumentation import PerfRecorder
 from repro.sql.ast import Literal, Query
 from repro.sql.canonical import canonical_sql, canonical_text
 from repro.sql.edits import map_placeholders
-from repro.sql.equivalence import EquivalenceChecker
 
 #: The three verdicts.  ``EQUIVALENT`` requires a canonical-form proof.
 EQUIVALENT = "EQUIVALENT"
@@ -58,10 +77,14 @@ VERDICTS = (EQUIVALENT, DISTINCT, UNKNOWN)
 
 @dataclass(frozen=True)
 class ProbeOutcome:
-    """One differential probe: a (schema, seed) database comparison.
+    """One probe database's outcome for a query pair.
 
     ``seed`` is the probe database's seed, or its position in the
     caller's ``databases=`` list when the caller supplied the databases.
+    ``executed`` is false when a query could not run there (``detail``
+    holds the reason); otherwise ``agreed`` says whether the result
+    values matched, and a disagreement's ``detail`` gives both row
+    counts.
     """
 
     seed: int
@@ -146,6 +169,12 @@ class EquivalenceOracle:
     seeds / rows_per_table:
         Differential probe budget — the same seeds the executor
         differential suite uses by default.
+
+    Each probe database runs its queries through one planned
+    :class:`~repro.db.planner.ExecutorSession`, built once, whose
+    results are cached on the printed SQL: a gold query repeated across
+    an eval report executes once per database, and a repeated
+    :meth:`check` is answered from the cache.
     """
 
     def __init__(
@@ -161,26 +190,78 @@ class EquivalenceOracle:
         self._databases = list(databases) if databases is not None else None
         # Caller-supplied databases were never built from ``seeds``.
         self._seeded = databases is None
-        self._checker: EquivalenceChecker | None = None
+        self.recorder = PerfRecorder()
+        self._sessions: list[ExecutorSession] | None = None
 
     # -- probe arms ----------------------------------------------------
 
     def _probe_databases(self) -> list:
         if self._databases is None:
-            from repro.db import populate
-
             self._databases = [
                 populate(self.schema, rows_per_table=self.rows_per_table, seed=seed)
                 for seed in self.seeds
             ]
         return self._databases
 
-    @property
-    def checker(self) -> EquivalenceChecker:
-        """The probe loop over :meth:`_probe_databases` (built once)."""
-        if self._checker is None:
-            self._checker = EquivalenceChecker(self._probe_databases())
-        return self._checker
+    def _probe_sessions(self) -> list[ExecutorSession]:
+        """One cached planned session per probe database (built once)."""
+        if self._sessions is None:
+            self._sessions = [
+                ExecutorSession(database, recorder=self.recorder)
+                for database in self._probe_databases()
+            ]
+        return self._sessions
+
+    def _label(self, index: int) -> int:
+        """The seed (or supplied position) of probe database ``index``."""
+        return self.seeds[index] if self._seeded else index
+
+    def probe(
+        self, left: Query, right: Query, bound: Iterable | None = None
+    ) -> Iterator[ProbeOutcome]:
+        """Run both queries on each probe database in turn, lazily.
+
+        ``bound``, when given, holds the ``(left, right)`` pair to run
+        on each database instead (:meth:`check` binds placeholders to
+        each probe database's own constants); probing stops after its
+        last pair.
+        """
+        order_sensitive = bool(left.order_by) and bool(right.order_by)
+        pairs = itertools.repeat((left, right)) if bound is None else bound
+        for index, (session, (left_query, right_query)) in enumerate(
+            zip(self._probe_sessions(), pairs)
+        ):
+            seed = self._label(index)
+            try:
+                left_rows = session.execute(left_query)
+                right_rows = session.execute(right_query)
+            except ReproError as exc:
+                # Outside the executable subset (or another schema's
+                # query): this database can neither agree nor disagree.
+                yield ProbeOutcome(seed, executed=False, detail=str(exc))
+                continue
+            if _rows_match(left_rows, right_rows, order_sensitive):
+                yield ProbeOutcome(seed, executed=True, agreed=True)
+            else:
+                yield ProbeOutcome(
+                    seed,
+                    executed=True,
+                    agreed=False,
+                    detail=f"{len(left_rows)} vs {len(right_rows)} result rows",
+                )
+
+    def perf_report(self) -> dict:
+        """Executor stage timings + result-cache counters over all probes."""
+        sessions = self._sessions or ()
+        hits = sum(session.cache_hits for session in sessions)
+        misses = sum(session.cache_misses for session in sessions)
+        total = hits + misses
+        return {
+            "stages": self.recorder.report(),
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "cache_hit_rate": (hits / total) if total else 0.0,
+        }
 
     # -- the oracle ----------------------------------------------------
 
@@ -241,38 +322,26 @@ class EquivalenceOracle:
                 break
             pairs.append(pair)
         agreed_probes = 0
-        for index, run in enumerate(self.checker.probe(left, right, pairs)):
-            seed = self.seeds[index] if self._seeded else index
-            probe = f"seed={seed}" if self._seeded else f"#{seed}"
-            if run.error:
+        for run in self.probe(left, right, pairs):
+            result.probes.append(run)
+            probe = f"seed={run.seed}" if self._seeded else f"#{run.seed}"
+            if not run.executed:
                 report.extend(
                     [
                         make(
                             "L604",
-                            f"probe {probe} skipped: {run.error}",
+                            f"probe {probe} skipped: {run.detail}",
                             location=location,
                             hint="the query is outside the executable subset "
                             "on this probe database",
                         )
                     ]
                 )
-                result.probes.append(
-                    ProbeOutcome(seed, executed=False, detail=run.error)
-                )
                 continue
             if run.agreed:
                 agreed_probes += 1
-                result.probes.append(ProbeOutcome(seed, executed=True, agreed=True))
                 continue
             result.verdict = DISTINCT
-            result.probes.append(
-                ProbeOutcome(
-                    seed,
-                    executed=True,
-                    agreed=False,
-                    detail=f"{run.rows[0]} vs {run.rows[1]} result rows",
-                )
-            )
             report.extend(
                 [
                     make(
@@ -284,7 +353,7 @@ class EquivalenceOracle:
                         "canonical forms in this report",
                         fix=FixHint(
                             kind="differential_counterexample",
-                            subject=str(seed),
+                            subject=str(run.seed),
                         ),
                     )
                 ]
@@ -292,10 +361,11 @@ class EquivalenceOracle:
             return
         result.verdict = UNKNOWN
         if blocked is not None:
-            seed = self.seeds[len(pairs)] if self._seeded else len(pairs)
             report.extend([blocked])
             result.probes.append(
-                ProbeOutcome(seed, executed=False, detail=blocked.message)
+                ProbeOutcome(
+                    self._label(len(pairs)), executed=False, detail=blocked.message
+                )
             )
             return
         if agreed_probes:
@@ -335,6 +405,15 @@ class EquivalenceOracle:
                 )
             pair.append(query)
         return tuple(pair), None
+
+
+def _rows_match(left_rows, right_rows, order_sensitive: bool) -> bool:
+    """Exact result-value comparison (column labels excluded on purpose)."""
+    left_values = [tuple(row.values()) for row in left_rows]
+    right_values = [tuple(row.values()) for row in right_rows]
+    if order_sensitive:
+        return left_values == right_values
+    return sorted(left_values, key=repr) == sorted(right_values, key=repr)
 
 
 __all__ = [

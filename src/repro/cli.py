@@ -105,6 +105,31 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (an empty sample database would
+    make every probe agree, and every plan trivial)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated non-negative integer seeds."""
+    try:
+        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        seeds = ()
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated non-negative integers, got {text!r}"
+        )
+    return seeds
+
+
 def _serving_config_from(args: argparse.Namespace):
     from repro.serving import ServingConfig
 
@@ -291,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("schema", help="schema name (see `schemas`)")
     repair.add_argument("sql", help="candidate SQL text to verify and repair")
     repair.add_argument(
-        "--rows-per-table", type=int, default=30, help="sample-data size"
+        "--rows-per-table", type=_positive_int, default=30, help="sample-data size"
     )
     repair.add_argument("--seed", type=int, default=7, help="sample-data seed")
     repair.add_argument(
@@ -322,12 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     canonical.add_argument(
         "--rows-per-table",
-        type=int,
+        type=_positive_int,
         default=25,
         help="differential probe database size",
     )
     canonical.add_argument(
         "--seeds",
+        type=_seed_list,
         default="0,17",
         help="comma-separated probe database seeds",
     )
@@ -355,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     db_explain.add_argument("schema", help="schema name (see `schemas`)")
     db_explain.add_argument("sql", help="SQL text (@JOIN form accepted)")
     db_explain.add_argument(
-        "--rows-per-table", type=int, default=30, help="sample-data size"
+        "--rows-per-table", type=_positive_int, default=30, help="sample-data size"
     )
     db_explain.add_argument("--seed", type=int, default=7, help="sample-data seed")
     db_explain.add_argument(
@@ -1029,9 +1055,8 @@ def cmd_canonical(args) -> int:
             print(f"key:       {key}")
         return EXIT_OK
 
-    seeds = tuple(int(s) for s in str(args.seeds).split(",") if s != "")
     oracle = EquivalenceOracle(
-        schema, seeds=seeds, rows_per_table=args.rows_per_table
+        schema, seeds=args.seeds, rows_per_table=args.rows_per_table
     )
     result = oracle.check(query, other)
     if args.json:

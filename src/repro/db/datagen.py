@@ -2,10 +2,10 @@
 
 The paper's pipeline needs a database ``D`` that "describes the schema
 and contains some sample data" (§3.3): sample values feed the value
-index used for constant anonymization, the execution-based equivalence
-checker, and the optimizer's test workloads.  Real deployments hand
-DBPal their production tables; here we synthesize plausible values per
-column using name/domain heuristics, deterministically from a seed.
+index used for constant anonymization, the equivalence oracle's
+execution probes, and the optimizer's test workloads.  Real deployments
+hand DBPal their production tables; here we synthesize plausible values
+per column using name/domain heuristics, deterministically from a seed.
 """
 
 from __future__ import annotations

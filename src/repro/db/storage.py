@@ -3,7 +3,7 @@
 A :class:`Database` binds a :class:`~repro.schema.schema.Schema` to
 concrete rows.  Rows are plain dicts keyed by column name; values are
 ``int``/``float``/``str`` or ``None``.  The executor, the value index
-(constant anonymization), and the execution-based equivalence checker
+(constant anonymization), and the equivalence oracle's execution probes
 all operate on this structure.
 
 Reads come in two explicit flavours:

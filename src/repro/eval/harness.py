@@ -13,6 +13,7 @@ contribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.bench.workloads import Workload, WorkloadItem
 from repro.eval.metrics import exact_match, semantic_match
@@ -21,7 +22,9 @@ from repro.perf.instrumentation import PerfRecorder
 from repro.runtime.postprocess import PostProcessor
 from repro.schema.schema import Schema
 from repro.sql.difficulty import DIFFICULTY_ORDER, Difficulty
-from repro.sql.equivalence import EquivalenceChecker
+
+if TYPE_CHECKING:
+    from repro.analysis.equivalence import EquivalenceOracle
 
 
 @dataclass
@@ -30,7 +33,7 @@ class ItemResult:
 
     ``correct`` scores the workload's configured metric; ``semantic``
     is always additionally reported (canonical-form equivalence, plus
-    checker-certified execution agreement when a checker was passed).
+    probe-certified execution agreement when an oracle was passed).
     ``semantic >= correct`` holds when the metric is ``"exact"`` —
     canonicalization subsumes normalization.
     """
@@ -48,7 +51,7 @@ class EvalResult:
     workload_name: str
     records: list[ItemResult] = field(default_factory=list)
     #: Harness stage timings (translate/postprocess/score) plus, for
-    #: execution-match scoring, the checker's executor stage timings
+    #: execution-match scoring, the oracle's executor stage timings
     #: (scan/join/group/sort) and result-cache counters.
     perf: dict = field(default_factory=dict)
     #: Static-analysis summary over the evaluated schemas (filled when
@@ -136,7 +139,7 @@ def evaluate(
     model,
     workload: Workload,
     metric: str = "exact",
-    checker: EquivalenceChecker | None = None,
+    oracle: EquivalenceOracle | None = None,
     schemas: dict[str, Schema] | None = None,
     postprocess: bool = True,
     lint: bool = False,
@@ -144,9 +147,10 @@ def evaluate(
     """Evaluate ``model`` on ``workload``.
 
     ``metric`` is ``"exact"`` (Spider protocol) or ``"semantic"``
-    (Patients protocol, needs a ``checker`` for execution-based
-    equivalence).  ``schemas`` enables post-processing repair per item
-    schema; items whose schema is missing skip repair.  ``lint=True``
+    (Patients protocol, needs an ``oracle`` for execution-based
+    equivalence; see :func:`~repro.eval.metrics.semantic_match`).
+    ``schemas`` enables post-processing repair per item schema; items
+    whose schema is missing skip repair.  ``lint=True``
     additionally runs the static analyzer over ``schemas`` and the
     shipped seed templates, attaching the summary to
     :attr:`EvalResult.lint` — accuracy numbers for inputs that fail
@@ -186,7 +190,7 @@ def evaluate(
                 if gold_processed is not None:
                     gold = gold_processed.query
         with recorder.stage("score"):
-            semantic = semantic_match(prediction, gold, checker, schema=schema)
+            semantic = semantic_match(prediction, gold, oracle, schema=schema)
             if metric == "exact":
                 correct = exact_match(prediction, gold)
             else:
@@ -200,13 +204,13 @@ def evaluate(
             )
         )
     result.perf = {"stages": recorder.report()}
-    if checker is not None and metric == "semantic":
-        # Execution-match scoring runs through the checker's planned,
+    if oracle is not None and metric == "semantic":
+        # Execution-match scoring runs through the oracle's planned,
         # cached executor sessions; surface its stage timings too.
-        checker_report = checker.perf_report()
-        result.perf["executor"] = checker_report["stages"]
+        oracle_report = oracle.perf_report()
+        result.perf["executor"] = oracle_report["stages"]
         result.perf["executor_cache"] = {
-            k: v for k, v in checker_report.items() if k != "stages"
+            k: v for k, v in oracle_report.items() if k != "stages"
         }
     if lint and schemas:
         from repro.analysis import lint_pipeline_inputs

@@ -61,6 +61,7 @@ from repro.errors import (
     SchemaError,
     ServingError,
 )
+from repro.runtime.postprocess import restore_placeholders
 from repro.schema.schema import Schema
 from repro.sql.ast import (
     AggFunc,
@@ -814,10 +815,6 @@ class RepairPipeline:
         Resource bounds; see :class:`RepairBudget`.
     value_index:
         Optional value index for constant→column attribution.
-    bind:
-        Optional callable ``(query, bindings) -> query`` re-binding
-        constants after placeholder renames (the anonymization-map arm);
-        defaults to the post-processor's restoration pass.
     faults:
         Deterministic fault plan (see :mod:`repro.core.faults`).
     """
@@ -828,7 +825,6 @@ class RepairPipeline:
         adapter=None,
         budget: RepairBudget | None = None,
         value_index: ValueIndex | None = None,
-        bind=None,
         faults: RepairFaultPlan = NO_REPAIR_FAULTS,
         clock=time.monotonic,
     ) -> None:
@@ -851,11 +847,6 @@ class RepairPipeline:
         # replays the lint and the empty proposal instead of redoing
         # them; every timed decision still runs.
         self._unfixable: OrderedDict[tuple[str, str], list[Diagnostic]] = OrderedDict()
-        if bind is None:
-            from repro.runtime.postprocess import restore_placeholders
-
-            bind = restore_placeholders
-        self._bind = bind
 
     # ------------------------------------------------------------------
 
@@ -1009,7 +1000,7 @@ class RepairPipeline:
             pruned = 0
             for candidate, edits in proposals:
                 if bindings and candidate.placeholders():
-                    candidate = self._bind(candidate, list(bindings))
+                    candidate = restore_placeholders(candidate, list(bindings))
                 key = self._canonical_guard_key(candidate)
                 if key in seen:
                     pruned += 1

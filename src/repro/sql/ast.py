@@ -15,7 +15,7 @@ workloads need (paper §3.1, §5):
   (§5.1).
 
 All nodes are immutable (frozen dataclasses); equality is structural,
-which the normalizer and equivalence checker build on.
+which the normalizer and the equivalence oracle build on.
 
 Nodes produced by the parser additionally carry a :class:`Span` — the
 character range of the node in the original SQL text — used by the

@@ -1,5 +1,5 @@
 """The adapter protocol itself: lifecycle, sources, normalization, and
-the seams that consume adapters (DBPal, the equivalence checker).
+the seam that consumes adapters (DBPal).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.db import Database
 from repro.db.planner import ExecutorSession
 from repro.errors import E_DIALECT, BackendError, DialectError
 from repro.schema import load_schema
-from repro.sql.equivalence import EquivalenceChecker
 from repro.sql.parser import parse
 
 pytestmark = pytest.mark.adapters
@@ -31,6 +30,16 @@ def test_adapters_are_context_managers(patients_db):
     with SqliteAdapter.from_database(patients_db) as adapter:
         assert isinstance(adapter, BackendAdapter)
         assert adapter.execute(parse("SELECT COUNT(*) FROM patients"))
+        # A query outside the sqlite emitter's subset is refused before
+        # it reaches the engine, with a stable code.
+        with pytest.raises(DialectError) as refused:
+            adapter.execute(
+                parse(
+                    "SELECT DISTINCT name FROM patients WHERE age > "
+                    "(SELECT DISTINCT age FROM patients ORDER BY age LIMIT 1)"
+                )
+            )
+        assert refused.value.code == E_DIALECT
     adapter.close()  # idempotent after __exit__
 
 
@@ -116,50 +125,3 @@ def test_dbpal_rejects_unknown_backend(patients_db):
 
     with pytest.raises(BackendError, match="unknown backend"):
         DBPal(patients_db, backend="oracle")
-
-
-# ----------------------------------------------------------------------
-# Equivalence-checker probes
-# ----------------------------------------------------------------------
-
-
-def test_equivalence_checker_accepts_adapter_probes(patients_db):
-    with SqliteAdapter.from_database(patients_db) as adapter:
-        checker = EquivalenceChecker([MemoryAdapter(patients_db), adapter])
-        left = parse("SELECT name FROM patients WHERE age > 50 AND gender = 'f'")
-        right = parse("SELECT name FROM patients WHERE gender = 'f' AND age > 50")
-        different = parse("SELECT name FROM patients WHERE age > 51")
-        assert checker.equivalent(left, right)
-        assert not checker.equivalent(left, different)
-        report = checker.perf_report()
-        assert report["cache_hits"] >= 0  # adapters count as zero
-
-
-def test_equivalence_checker_mixed_probe_arms(patients_db):
-    # A Database, a session, and an adapter in one probe list.
-    with SqliteAdapter.from_database(patients_db) as adapter:
-        checker = EquivalenceChecker(
-            [patients_db, ExecutorSession(patients_db), adapter]
-        )
-        left = parse("SELECT COUNT(*) FROM patients WHERE age >= 30")
-        right = parse("SELECT COUNT(*) FROM patients WHERE 30 <= age")
-        assert checker.equivalent(left, right)
-
-
-def test_equivalence_checker_uncertifiable_on_adapter_refusal(patients_db):
-    # Queries outside the sqlite emitter's subset make the arm fail →
-    # not certified, not crashed.
-    with SqliteAdapter.from_database(patients_db) as adapter:
-        checker = EquivalenceChecker([adapter])
-        left = parse(
-            "SELECT DISTINCT name FROM patients WHERE age > "
-            "(SELECT DISTINCT age FROM patients ORDER BY age LIMIT 1)"
-        )
-        right = parse(
-            "SELECT DISTINCT name FROM patients WHERE age > "
-            "(SELECT DISTINCT age FROM patients ORDER BY age DESC LIMIT 1)"
-        )
-        assert not checker.equivalent(left, right)
-        with pytest.raises(DialectError) as refused:
-            adapter.execute(left)
-        assert refused.value.code == E_DIALECT

@@ -1,19 +1,23 @@
-"""The one probe loop: :meth:`EquivalenceChecker.probe`.
+"""The one probe loop: :meth:`EquivalenceOracle.probe`.
 
-The Patients checker's acceptance rule and the three-verdict oracle
-both read their rows from it, so it is tested here once: one outcome
-per arm, errors as outcomes, laziness, per-arm bound pairs, and the
-oracle's repeat checks answered from the probe sessions' result cache.
+The oracle's three verdicts and the Patients metric's acceptance rule
+(:func:`repro.eval.metrics.semantic_match`) both read their rows from
+it, so it is tested here once: one outcome per probe database, errors
+as outcomes, laziness, per-database bound pairs, and repeat checks
+answered from the probe sessions' result cache.
 """
 
 import pytest
 
-from repro.adapters import MemoryAdapter
-from repro.analysis.equivalence import DISTINCT, UNKNOWN, EquivalenceOracle
+from repro.analysis.equivalence import (
+    DISTINCT,
+    UNKNOWN,
+    EquivalenceOracle,
+    ProbeOutcome,
+)
 from repro.db import populate
-from repro.db.planner import ExecutorSession
+from repro.eval import semantic_match
 from repro.schema import load_schema
-from repro.sql.equivalence import EquivalenceChecker, ProbeRun
 from repro.sql.parser import parse
 
 pytestmark = pytest.mark.canonical
@@ -25,71 +29,81 @@ def databases():
     return [populate(schema, rows_per_table=25, seed=seed) for seed in (0, 17)]
 
 
+def _oracle(databases):
+    return EquivalenceOracle(load_schema("patients"), databases=databases)
+
+
 def test_one_outcome_per_arm(databases):
-    checker = EquivalenceChecker(databases)
+    oracle = _oracle(databases)
     left = parse("SELECT name FROM patients WHERE age >= 0")
-    runs = list(checker.probe(left, parse("SELECT name FROM patients")))
-    assert runs == [ProbeRun(agreed=True, rows=(25, 25))] * 2
-    runs = list(checker.probe(left, parse("SELECT name FROM patients WHERE age < 0")))
-    assert runs == [ProbeRun(agreed=False, rows=(25, 0))] * 2
+    runs = list(oracle.probe(left, parse("SELECT name FROM patients")))
+    assert runs == [
+        ProbeOutcome(seed, executed=True, agreed=True) for seed in (0, 1)
+    ]
+    runs = list(oracle.probe(left, parse("SELECT name FROM patients WHERE age < 0")))
+    assert runs == [
+        ProbeOutcome(seed, executed=True, agreed=False, detail="25 vs 0 result rows")
+        for seed in (0, 1)
+    ]
 
 
 def test_execution_error_is_an_outcome(databases):
-    checker = EquivalenceChecker(databases)
+    oracle = _oracle(databases)
     runs = list(
-        checker.probe(
+        oracle.probe(
             parse("SELECT nosuch FROM patients"), parse("SELECT name FROM patients")
         )
     )
     assert len(runs) == 2
-    assert all(not run.agreed and run.error for run in runs)
-    assert "nosuch" in runs[0].error
+    assert all(not run.executed and not run.agreed and run.detail for run in runs)
+    assert "nosuch" in runs[0].detail
 
 
 def test_equivalent_stops_at_the_first_refuting_arm(databases):
-    # The generator is lazy: a disagreement on the first arm leaves the
-    # second arm's session untouched.
-    checker = EquivalenceChecker(databases)
-    assert not checker.equivalent(
+    # The generator is lazy: a disagreement on the first probe database
+    # leaves the second one's session untouched.
+    oracle = _oracle(databases)
+    assert not semantic_match(
         parse("SELECT name FROM patients WHERE age >= 0"),
         parse("SELECT name FROM patients WHERE age < 0"),
+        oracle,
     )
-    first, second = checker._arms
+    first, second = oracle._probe_sessions()
     assert first.cache_misses == 2
     assert second.cache_misses == 0
 
 
 def test_arms_are_built_once(databases):
-    session = ExecutorSession(databases[1])
-    adapter = MemoryAdapter(databases[0])
-    checker = EquivalenceChecker([databases[0], session, adapter])
-    first, second, third = checker._arms
-    assert isinstance(first, ExecutorSession) and first.database is databases[0]
-    assert first.recorder is checker.recorder
-    assert second is session and third is adapter
+    oracle = _oracle(databases)
+    sessions = oracle._probe_sessions()
+    assert oracle._probe_sessions() is sessions
+    assert [session.database for session in sessions] == databases
+    assert all(session.recorder is oracle.recorder for session in sessions)
 
 
 def test_bound_pairs_run_per_arm_and_end_probing(databases):
-    checker = EquivalenceChecker(databases)
+    oracle = _oracle(databases)
     left = parse("SELECT name FROM patients WHERE age = @AGE")
     right = parse("SELECT name FROM patients WHERE @AGE = age")
     everyone = parse("SELECT name FROM patients")
     nobody = parse("SELECT name FROM patients WHERE age < 0")
-    runs = list(checker.probe(left, right, [(everyone, nobody)]))
-    assert runs == [ProbeRun(agreed=False, rows=(25, 0))]
-    assert list(checker.probe(left, right, [])) == []
+    runs = list(oracle.probe(left, right, [(everyone, nobody)]))
+    assert runs == [
+        ProbeOutcome(0, executed=True, agreed=False, detail="25 vs 0 result rows")
+    ]
+    assert list(oracle.probe(left, right, [])) == []
 
 
 def test_repeated_oracle_check_is_served_from_the_probe_cache(databases):
-    oracle = EquivalenceOracle(load_schema("patients"), databases=databases)
+    oracle = _oracle(databases)
     left = parse("SELECT name FROM patients WHERE name = 'zz_nobody'")
     right = parse("SELECT name FROM patients WHERE name = 'zz_phantom'")
     first = oracle.check(left, right)
     assert first.verdict == UNKNOWN
-    assert oracle.checker.perf_report()["cache_hits"] == 0
+    assert oracle.perf_report()["cache_hits"] == 0
     again = oracle.check(left, right)
     assert again.to_dict() == first.to_dict()
-    report = oracle.checker.perf_report()
+    report = oracle.perf_report()
     assert report["cache_hits"] == 4  # two queries on two probe databases
     assert report["cache_misses"] == 4
 
@@ -97,7 +111,7 @@ def test_repeated_oracle_check_is_served_from_the_probe_cache(databases):
 def test_oracle_binds_each_probe_database_separately(databases):
     # Both sides bind @AGE to the same constant per probe database, so
     # ``age = @AGE`` and ``age > @AGE`` are told apart on every arm.
-    oracle = EquivalenceOracle(load_schema("patients"), databases=databases)
+    oracle = _oracle(databases)
     result = oracle.check(
         parse("SELECT name FROM patients WHERE age = @AGE"),
         parse("SELECT name FROM patients WHERE age > @AGE"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.equivalence import EquivalenceOracle
 from repro.bench import Workload, WorkloadItem
 from repro.core import GenerationConfig
 from repro.core.tuning import SearchResult, TrialResult, grid_search
@@ -10,7 +11,7 @@ from repro.db import populate
 from repro.eval import evaluate
 from repro.neural import RetrievalModel
 from repro.schema import patients_schema
-from repro.sql import EquivalenceChecker, parse
+from repro.sql import parse
 
 
 class _FixedModel:
@@ -27,8 +28,9 @@ class _FixedModel:
 class TestSemanticEvaluation:
     def test_execution_equivalent_counts_as_correct(self):
         schema = patients_schema()
-        checker = EquivalenceChecker(
-            [populate(schema, rows_per_table=20, seed=s) for s in (1, 2)]
+        oracle = EquivalenceOracle(
+            schema,
+            databases=[populate(schema, rows_per_table=20, seed=s) for s in (1, 2)],
         )
         items = [
             WorkloadItem(
@@ -47,15 +49,15 @@ class TestSemanticEvaluation:
         )
         exact = evaluate(model, Workload("w", items), metric="exact")
         semantic = evaluate(
-            model, Workload("w", items), metric="semantic", checker=checker
+            model, Workload("w", items), metric="semantic", oracle=oracle
         )
         assert exact.accuracy == 0.0
         assert semantic.accuracy == 1.0
 
     def test_semantic_eval_reports_executor_perf_and_cache(self):
         schema = patients_schema()
-        checker = EquivalenceChecker(
-            [populate(schema, rows_per_table=20, seed=1)]
+        oracle = EquivalenceOracle(
+            schema, databases=[populate(schema, rows_per_table=20, seed=1)]
         )
         sql = "SELECT name FROM patients WHERE age >= 20 AND age <= 60"
         questions = ["question alpha", "question beta", "question gamma"]
@@ -69,7 +71,7 @@ class TestSemanticEvaluation:
         ]
         model = _FixedModel({nl: sql for nl in questions})
         result = evaluate(
-            model, Workload("w", items), metric="semantic", checker=checker
+            model, Workload("w", items), metric="semantic", oracle=oracle
         )
         # Harness stage timings are always recorded...
         assert {"translate", "score"} <= set(result.perf["stages"])

@@ -1,7 +1,7 @@
 """Self-lint: the analyzer's house rules applied to our own source.
 
 A stdlib-``ast`` pass over every module in ``src/repro`` enforcing
-three rules that have each caused real bugs in serving stacks, five
+three rules that have each caused real bugs in serving stacks, six
 layering rules, one rule on code compiled at run time, one on
 starting processes, and one on imports:
 
@@ -56,6 +56,12 @@ starting processes, and one on imports:
   is declared, and none is optional, so a fallback for a missing module
   is a branch that cannot run and that no test reaches.  A declared
   dependency is imported plainly.
+* **``repro.sql`` imports only ``repro.sql``, ``repro.errors`` and
+  ``repro.schema``** — the SQL layer sits under the engine
+  (``repro.db`` imports it), so a ``repro.sql`` module that reached into
+  ``repro.db``, ``repro.perf`` or any higher layer would need a lazy
+  import to dodge the cycle.  Function-level and ``TYPE_CHECKING``
+  imports count too: a lazy import is still a dependency.
 """
 
 from __future__ import annotations
@@ -240,9 +246,18 @@ def test_serving_records_stages_only_through_the_registry():
 
 
 def _package_of(module: str) -> str:
-    """``repro.sql.equivalence`` -> ``repro.sql``; top-level modules
+    """``repro.sql.canonical`` -> ``repro.sql``; top-level modules
     (``repro.errors``) are their own package."""
     return ".".join(module.split(".")[:2])
+
+
+def _import_from_target(node: ast.ImportFrom, module: str) -> str:
+    """The absolute module a ``from … import`` in ``module`` reads from."""
+    target = node.module or ""
+    if node.level:
+        base = module.split(".")[: -node.level]
+        target = ".".join(base + ([target] if target else []))
+    return target
 
 
 def _private_cross_package_imports(source: str, module: str) -> list[str]:
@@ -252,10 +267,7 @@ def _private_cross_package_imports(source: str, module: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ImportFrom):
             continue
-        target = node.module or ""
-        if node.level:
-            base = module.split(".")[: -node.level]
-            target = ".".join(base + ([target] if target else []))
+        target = _import_from_target(node, module)
         if target.split(".")[0] != "repro":
             continue
         if _package_of(target) == _package_of(module):
@@ -279,6 +291,52 @@ def test_no_private_imports_across_packages():
         "or keep it in its package"
         for path in repro_modules()
         for finding in _private_cross_package_imports(
+            path.read_text(encoding="utf-8"), _module_name(path)
+        )
+    ]
+    assert findings == []
+
+
+#: The ``repro`` packages a ``repro.sql`` module may import from.
+SQL_LAYER_DEPENDENCIES = ("repro.sql", "repro.errors", "repro.schema")
+
+
+def _sql_layer_violations(source: str, module: str) -> list[str]:
+    """``repro`` modules outside :data:`SQL_LAYER_DEPENDENCIES` that
+    ``module``'s source imports anywhere: at module level, inside a
+    function or under ``TYPE_CHECKING``."""
+    findings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            target = _import_from_target(node, module)
+            # ``from repro import db`` names a package, not a symbol.
+            targets = (
+                [f"repro.{alias.name}" for alias in node.names]
+                if target == "repro"
+                else [target]
+            )
+        else:
+            continue
+        for target in targets:
+            if target.split(".")[0] != "repro":
+                continue
+            if not any(
+                target == allowed or target.startswith(allowed + ".")
+                for allowed in SQL_LAYER_DEPENDENCIES
+            ):
+                findings.append(f"{node.lineno}: {target}")
+    return findings
+
+
+def test_sql_layer_imports_only_sql_errors_and_schema():
+    findings = [
+        f"{path.relative_to(SRC_ROOT.parent)}:{finding} — repro.sql may "
+        "import only repro.sql, repro.errors and repro.schema"
+        for path in repro_modules()
+        if path.relative_to(SRC_ROOT).parts[0] == "sql"
+        for finding in _sql_layer_violations(
             path.read_text(encoding="utf-8"), _module_name(path)
         )
     ]
@@ -561,6 +619,31 @@ class TestLintRulesDetect:
     )
     def test_private_import_rule(self, source, module, bad):
         assert bool(_private_cross_package_imports(source, module)) is bad
+
+    @pytest.mark.parametrize(
+        "source, module, bad",
+        [
+            ("from repro.db.planner import ExecutorSession\n", "repro.sql.x", True),
+            ("def f():\n    from repro.db.storage import Database\n", "repro.sql.x", True),
+            (
+                "if TYPE_CHECKING:\n    from repro.perf.instrumentation import PerfRecorder\n",
+                "repro.sql.x",
+                True,
+            ),
+            ("import repro.db.planner\n", "repro.sql.x", True),
+            ("from repro import db\n", "repro.sql.x", True),
+            ("from ..db import populate\n", "repro.sql.x", True),
+            ("from repro.sql.ast import Query\n", "repro.sql.x", False),
+            ("from .canonical import normalize\n", "repro.sql.x", False),
+            ("from repro.errors import SqlError\n", "repro.sql.x", False),
+            ("from repro.schema.schema import Schema\n", "repro.sql.x", False),
+            ("from repro import errors\n", "repro.sql.x", False),
+            ("import re\nfrom typing import TYPE_CHECKING\n", "repro.sql.x", False),
+            ("from repro.sqlite import x\n", "repro.sql.x", True),
+        ],
+    )
+    def test_sql_layer_rule(self, source, module, bad):
+        assert bool(_sql_layer_violations(source, module)) is bad
 
     @pytest.mark.parametrize(
         "source, bad",
